@@ -58,6 +58,11 @@ class InputDocument:
                      self.asserted_quasi_smooth)
 
 
+def _is_int(v) -> bool:
+    # JSON true/false arrive as bool, which Python counts as an int
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _term_to_poly(n: int, terms, which: int) -> MultiPoly:
     table = VarTable.bihomog(n)
     acc: dict[tuple[int, ...], Fraction] = {}
@@ -70,7 +75,7 @@ def _term_to_poly(n: int, terms, which: int) -> MultiPoly:
                 raise InputError(f"{where}: missing field {key!r}")
         c = term["c"]
         if (not isinstance(c, (list, tuple)) or len(c) != 2
-                or not all(isinstance(v, int) for v in c)):
+                or not all(_is_int(v) for v in c)):
             raise InputError(f"{where}: coefficient must be [numerator, denominator]")
         if c[1] == 0:
             raise InputError(f"{where}: zero coefficient denominator")
@@ -78,7 +83,7 @@ def _term_to_poly(n: int, terms, which: int) -> MultiPoly:
             exps = term[key]
             if not isinstance(exps, list) or len(exps) != n + 1:
                 raise InputError(f"{where}: {key} exponent list length must be {n + 1}")
-            if not all(isinstance(e, int) and e >= 0 for e in exps):
+            if not all(_is_int(e) and e >= 0 for e in exps):
                 raise InputError(f"{where}: {key} exponents must be non-negative integers")
         exps = tuple(term["X"]) + tuple(term["u"])
         acc[exps] = acc.get(exps, Fraction(0)) + Fraction(c[0], c[1])
@@ -89,7 +94,7 @@ def parse_document(data) -> InputDocument:
     if not isinstance(data, dict):
         raise InputError("top-level value must be an object")
     n = data.get("n")
-    if not isinstance(n, int) or n < 2:
+    if not _is_int(n) or n < 2:
         raise InputError("field 'n' must be an integer >= 2")
     raw_pdes = data.get("pdes")
     if not isinstance(raw_pdes, list) or not raw_pdes:

@@ -21,13 +21,17 @@ from typing import Mapping, Sequence
 from .idealcalc import block_order, normal_form
 from .polycore import (
     MultiPoly,
+    PolyMatrix,
     UsageError,
     VarTable,
     exact_divide,
     integer_primitive,
     is_bihomogeneous,
     multivar_gcd,
+    poly_adjugate,
+    poly_det,
     scalar_equal,
+    solve_linear,
     substitute,
 )
 
@@ -267,8 +271,6 @@ def rehomogenize(form: ChartForm, bidegree: tuple[int, int] | None = None) -> Bi
             for e, c in r.terms.items():
                 rows[row_of[e]][col] = c
         rhs = [F.terms.get(e, Fraction(0)) for e in support]
-        from .polycore import solve_linear
-
         sol = solve_linear(rows, rhs)
         if sol is None:
             continue
@@ -309,10 +311,6 @@ class RatFunc:
         raise AttributeError("RatFunc is immutable")
 
     @classmethod
-    def of(cls, value: "MultiPoly | RatFunc") -> "RatFunc":
-        return value if isinstance(value, RatFunc) else cls(value)
-
-    @classmethod
     def const(cls, table: VarTable, c) -> "RatFunc":
         return cls(MultiPoly.const(table, c))
 
@@ -345,10 +343,6 @@ class RatFunc:
 
     __hash__ = None
 
-    def derivative(self, name: str) -> "RatFunc":
-        dn = self.num.derivative(name) * self.den - self.num * self.den.derivative(name)
-        return RatFunc(dn, self.den * self.den)
-
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
         d = self.den.evaluate(point)
         if not d:
@@ -359,36 +353,6 @@ class RatFunc:
         if self.den.is_constant() and self.den.constant_value() == 1:
             return f"RatFunc({self.num})"
         return f"RatFunc(({self.num})/({self.den}))"
-
-
-def _rat_det(m: list[list[RatFunc]]) -> RatFunc:
-    k = len(m)
-    if k == 1:
-        return m[0][0]
-    if k == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    table = m[0][0].num.vars
-    acc = RatFunc.const(table, 0)
-    for r in range(k):
-        minor = [row[1:] for t, row in enumerate(m) if t != r]
-        cof = _rat_det(minor)
-        term = m[r][0] * cof
-        acc = acc + term if r % 2 == 0 else acc - term
-    return acc
-
-
-def _rat_adjugate(m: list[list[RatFunc]]) -> list[list[RatFunc]]:
-    k = len(m)
-    table = m[0][0].num.vars
-    if k == 1:
-        return [[RatFunc.const(table, 1)]]
-    out = [[None] * k for _ in range(k)]
-    for r in range(k):
-        for c in range(k):
-            minor = [[m[a][b] for b in range(k) if b != c] for a in range(k) if a != r]
-            cof = _rat_det(minor)
-            out[c][r] = cof if (r + c) % 2 == 0 else -cof
-    return out
 
 
 @dataclass(frozen=True)
@@ -427,24 +391,27 @@ class ChartTransition:
         return out
 
 
-def _frame_data(source: Chart, x_exprs: Sequence[RatFunc]):
-    """Jacobian package for arbitrary target point-coordinates.
+def _frame_data(source: Chart, nums: Sequence[MultiPoly], den: MultiPoly):
+    """Jacobian package for the target point-coordinates nums[r] / den.
 
-    ``x_exprs`` lists the target coordinates in slot order (distinguished
-    one last), as rational functions of the source chart coordinates.
+    ``nums`` lists the numerators in slot order (distinguished one last)
+    over one common denominator, all polynomials in the source chart
+    coordinates.  The Jacobian is M / den^2 with M a polynomial matrix,
+    so det(J) and adj(J) are det(M) and adj(M) over powers of den^2.
     """
     slots = [f"x{k}" for k in source.slot_indices]
-    J = [[expr.derivative(name) for name in slots] for expr in x_exprs]
-    jac_det = _rat_det(J)
-    K = _rat_adjugate(J)
-    table = source.table
-    nslot = len(slots) - 1
-    acc = RatFunc.const(table, 0)
+    M = PolyMatrix.from_rows([[f.derivative(s) * den - f * den.derivative(s) for s in slots]
+                              for f in nums])
+    adj = poly_adjugate(M)
+    last = M.rows - 1
+    den2 = den * den
+    adj_den = den2 ** last
+    frame = adj.at(last, last)
     for b, k in enumerate(source.p_indices):
-        acc = acc + RatFunc(source.p(k)) * K[b][nslot]
-    frame_det = -(acc - K[nslot][nslot])
-    return (tuple(tuple(row) for row in J), tuple(tuple(row) for row in K),
-            jac_det, frame_det)
+        frame = frame - source.p(k) * adj.at(b, last)
+    return (tuple(tuple(RatFunc(e, den2) for e in M.row(r)) for r in range(M.rows)),
+            tuple(tuple(RatFunc(e, adj_den) for e in adj.row(r)) for r in range(M.rows)),
+            RatFunc(poly_det(M), adj_den * den2), RatFunc(frame, adj_den))
 
 
 def transition(c1: Chart, c2: Chart) -> ChartTransition:
@@ -465,8 +432,8 @@ def transition(c1: Chart, c2: Chart) -> ChartTransition:
     for a in c2.p_indices:
         p_map.append((f"p{a}", RatFunc(-u_vals[a], u_vals[c2.j])))
 
-    slot_exprs = [dict(x_map)[f"x{k}"] for k in c2.slot_indices]
-    J, K, jac_det, frame_det = _frame_data(c1, slot_exprs)
+    J, K, jac_det, frame_det = _frame_data(
+        c1, [X_value(k) for k in c2.slot_indices], X_value(c2.i))
     return ChartTransition(c1, c2, tuple(x_map), tuple(p_map), J, K, jac_det, frame_det)
 
 

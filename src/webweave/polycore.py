@@ -514,12 +514,6 @@ class PolyMatrix:
         flat = tuple(e for row in rows for e in row)
         return cls(len(rows), len(rows[0]), flat)
 
-    @classmethod
-    def identity(cls, vars: VarTable, k: int) -> "PolyMatrix":
-        one, zero = MultiPoly.const(vars, 1), MultiPoly.zero(vars)
-        return cls(k, k, tuple(one if r == c else zero
-                               for r in range(k) for c in range(k)))
-
     @property
     def table(self) -> VarTable:
         return self.entries[0].vars
@@ -541,9 +535,6 @@ class PolyMatrix:
                     acc = acc + self.at(r, k) * other.at(k, c)
                 out.append(acc)
         return PolyMatrix(self.rows, other.cols, tuple(out))
-
-    def scale(self, f: MultiPoly) -> "PolyMatrix":
-        return PolyMatrix(self.rows, self.cols, tuple(f * e for e in self.entries))
 
 
 def _det_expansion(m: list[list[MultiPoly]], table: VarTable) -> MultiPoly:
@@ -586,14 +577,18 @@ def _det_bareiss(m: list[list[MultiPoly]], table: VarTable) -> MultiPoly:
     return det if sign > 0 else -det
 
 
+def _det(grid: list[list[MultiPoly]], table: VarTable) -> MultiPoly:
+    """Cofactor expansion up to 4x4, Bareiss beyond."""
+    if len(grid) <= 4:
+        return _det_expansion(grid, table)
+    return _det_bareiss(grid, table)
+
+
 def poly_det(M: PolyMatrix) -> MultiPoly:
-    """Exact determinant: cofactor expansion up to 4x4, Bareiss beyond."""
+    """Exact determinant of a square polynomial matrix."""
     if M.rows != M.cols:
         raise UsageError("determinant of a non-square matrix")
-    grid = [list(M.row(r)) for r in range(M.rows)]
-    if M.rows <= 4:
-        return _det_expansion(grid, M.table)
-    return _det_bareiss(grid, M.table)
+    return _det([list(M.row(r)) for r in range(M.rows)], M.table)
 
 
 def poly_adjugate(M: PolyMatrix) -> PolyMatrix:
@@ -609,8 +604,7 @@ def poly_adjugate(M: PolyMatrix) -> PolyMatrix:
         for c in range(k):
             minor = [[grid[a][b] for b in range(k) if b != c]
                      for a in range(k) if a != r]
-            cof = _det_expansion(minor, M.table) if k - 1 <= 4 else \
-                _det_bareiss(minor, M.table)
+            cof = _det(minor, M.table)
             out[c][r] = cof if (r + c) % 2 == 0 else -cof
     return PolyMatrix.from_rows(out)
 

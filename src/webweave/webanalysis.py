@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .cohomcalc import CausticCertificate, MultiDegreeData, bott_number, \
@@ -81,39 +82,47 @@ class ChartWebData:
     p-variables; ``contact_jacobian`` rows by equation and columns by the
     contact directions (entry dF/dx_a + p_a dF/dx_j); ``p_adjugate`` is
     the adjugate of the p-Jacobian, so p_jacobian * p_adjugate =
-    critical_det * I.  ``critical_basis`` is the reduced basis of
-    (F_1..F_{n-1}, critical_det), computed on first access; it is None on
-    degenerate charts.
+    critical_det * I.  ``warnings`` (input diagnostics) and
+    ``critical_basis`` (the reduced basis of (F_1..F_{n-1}, critical_det),
+    None on degenerate charts) are computed on first access.
     """
 
     def __init__(self, chart: Chart, forms: tuple[MultiPoly, ...],
-                 p_jacobian: PolyMatrix, critical_det: MultiPoly,
-                 contact_jacobian: PolyMatrix, p_adjugate: PolyMatrix,
-                 degenerate: bool, warnings: tuple[str, ...],
                  pair_cap: int = DEFAULT_PAIR_CAP):
         self.chart = chart
         self.forms = forms
-        self.p_jacobian = p_jacobian
-        self.critical_det = critical_det
-        self.contact_jacobian = contact_jacobian
-        self.p_adjugate = p_adjugate
-        self.degenerate = degenerate
-        self.warnings = warnings
+        self.p_jacobian = PolyMatrix.from_rows(
+            [[partial_derivative(F, f"p{a}") for a in chart.p_indices] for F in forms])
+        self.critical_det = poly_det(self.p_jacobian)
+        self.contact_jacobian = PolyMatrix.from_rows(
+            [_contact_row(chart, F) for F in forms])
+        self.p_adjugate = poly_adjugate(self.p_jacobian)
+        self.degenerate = not self.critical_det
         self._pair_cap = pair_cap
-        self._basis: IdealBasis | None = None
 
-    @property
+    @cached_property
+    def warnings(self) -> tuple[str, ...]:
+        return tuple(_input_warnings(self.chart, self.forms))
+
+    @cached_property
     def critical_basis(self) -> IdealBasis | None:
         if self.degenerate:
             return None
-        if self._basis is None:
-            self._basis = buchberger(list(self.forms) + [self.critical_det],
-                                     GREVLEX, self._pair_cap)
-        return self._basis
+        return buchberger(list(self.forms) + [self.critical_det], GREVLEX, self._pair_cap)
 
     def obstruction(self) -> PolyMatrix:
         """The matrix whose vanishing on the critical scheme is dicriticity."""
         return self.p_adjugate.matmul(self.contact_jacobian)
+
+
+def _contact_row(chart: Chart, F: MultiPoly) -> list[MultiPoly]:
+    """dF/dx_a + p_a dF/dx_j for each contact direction a of the chart."""
+    dxj = partial_derivative(F, f"x{chart.j}")
+    return [partial_derivative(F, f"x{a}") + chart.p(a) * dxj for a in chart.p_indices]
+
+
+def _chart_forms(w: CiWeb, chart: Chart) -> tuple[MultiPoly, ...]:
+    return tuple(chart_form(p, chart).poly for p in w.pdes)
 
 
 def _input_warnings(chart: Chart, forms) -> list[str]:
@@ -146,21 +155,7 @@ def chart_web_data(w: CiWeb, chart: Chart,
                    pair_cap: int = DEFAULT_PAIR_CAP) -> ChartWebData:
     if chart.n != w.n:
         raise UsageError("chart dimension does not match the web")
-    forms = tuple(chart_form(p, chart).poly for p in w.pdes)
-    p_names = [f"p{a}" for a in chart.p_indices]
-    xj = f"x{chart.j}"
-    jac = PolyMatrix.from_rows(
-        [[partial_derivative(F, pn) for pn in p_names] for F in forms])
-    det = poly_det(jac)
-    theta_rows = []
-    for F in forms:
-        dxj = partial_derivative(F, xj)
-        theta_rows.append([partial_derivative(F, f"x{a}") + chart.p(a) * dxj
-                           for a in chart.p_indices])
-    theta = PolyMatrix.from_rows(theta_rows)
-    adj = poly_adjugate(jac)
-    return ChartWebData(chart, forms, jac, det, theta, adj, not det,
-                        tuple(_input_warnings(chart, forms)), pair_cap)
+    return ChartWebData(chart, _chart_forms(w, chart), pair_cap)
 
 
 @dataclass(frozen=True)
@@ -194,23 +189,39 @@ def _charts(w: CiWeb, charts) -> tuple[Chart, ...]:
     return tuple(charts) if charts else standard_atlas(w.n)
 
 
+def _critical_membership(w: CiWeb, charts, pair_cap: int, hyper: bool) -> WebVerdict:
+    """Per chart, test whether the nonzero entries of a matrix lie in the
+    critical ideal (F_1..F_{n-1}, critical_det): the obstruction matrix,
+    or with ``hyper`` the contact Jacobian, which is then also tested
+    against (F_1..F_{n-1}) alone on every chart, degenerate ones included.
+    """
+    per, warns = [], []
+    on_web = True
+    for chart in _charts(w, charts):
+        data = chart_web_data(w, chart, pair_cap)
+        warns.extend(data.warnings)
+        if hyper:
+            entries = [e for e in data.contact_jacobian.entries if e]
+            if entries:
+                web_basis = buchberger(list(data.forms), GREVLEX, pair_cap)
+                on_web = all(not normal_form(e, web_basis) for e in entries) and on_web
+        if data.degenerate:
+            per.append(ChartVerdict(chart, "degenerate", "critical determinant is 0"))
+            continue
+        if not hyper:
+            entries = [e for e in data.obstruction().entries if e]
+        ok = all(not normal_form(e, data.critical_basis) for e in entries)
+        per.append(ChartVerdict(chart, "true" if ok else "false"))
+    return _aggregate(per, warns, (("theta_vanishes_on_web", on_web),) if hyper else ())
+
+
 def is_dicritical(w: CiWeb, charts=None, pair_cap: int = DEFAULT_PAIR_CAP) -> WebVerdict:
     """The induced foliation extends across the critical scheme.
 
     Chart criterion: every entry of p_adjugate o contact_jacobian lies in
     the ideal (F_1..F_{n-1}, critical_det).
     """
-    per, warns = [], []
-    for chart in _charts(w, charts):
-        data = chart_web_data(w, chart, pair_cap)
-        warns.extend(data.warnings)
-        if data.degenerate:
-            per.append(ChartVerdict(chart, "degenerate", "critical determinant is 0"))
-            continue
-        entries = [e for e in data.obstruction().entries if e]
-        ok = all(not normal_form(e, data.critical_basis) for e in entries)
-        per.append(ChartVerdict(chart, "true" if ok else "false"))
-    return _aggregate(per, warns)
+    return _critical_membership(w, charts, pair_cap, hyper=False)
 
 
 def is_hyperdicritical(w: CiWeb, charts=None, pair_cap: int = DEFAULT_PAIR_CAP) -> WebVerdict:
@@ -219,24 +230,7 @@ def is_hyperdicritical(w: CiWeb, charts=None, pair_cap: int = DEFAULT_PAIR_CAP) 
     the web (membership in (F_1..F_{n-1}) alone), as linear webs do in
     affine coordinates.
     """
-    per, warns = [], []
-    on_web_all = True
-    for chart in _charts(w, charts):
-        data = chart_web_data(w, chart, pair_cap)
-        warns.extend(data.warnings)
-        entries = [e for e in data.contact_jacobian.entries if e]
-        if entries:
-            web_basis = buchberger(list(data.forms), GREVLEX, pair_cap)
-            on_web = all(not normal_form(e, web_basis) for e in entries)
-        else:
-            on_web = True
-        on_web_all = on_web_all and on_web
-        if data.degenerate:
-            per.append(ChartVerdict(chart, "degenerate", "critical determinant is 0"))
-            continue
-        ok = all(not normal_form(e, data.critical_basis) for e in entries)
-        per.append(ChartVerdict(chart, "true" if ok else "false"))
-    return _aggregate(per, warns, extra=(("theta_vanishes_on_web", on_web_all),))
+    return _critical_membership(w, charts, pair_cap, hyper=True)
 
 
 def is_linearizable_pde(S: BiHomogPde, charts=None,
@@ -249,10 +243,7 @@ def is_linearizable_pde(S: BiHomogPde, charts=None,
     for chart in (tuple(charts) if charts else standard_atlas(S.n)):
         F = chart_form(S, chart).poly
         basis = buchberger([F], GREVLEX, pair_cap)
-        dxj = partial_derivative(F, f"x{chart.j}")
-        ok = all(not normal_form(
-            partial_derivative(F, f"x{a}") + chart.p(a) * dxj, basis)
-            for a in chart.p_indices)
+        ok = all(not normal_form(e, basis) for e in _contact_row(chart, F))
         per.append(ChartVerdict(chart, "true" if ok else "false"))
     agg = all(v.status == "true" for v in per)
     return WebVerdict(agg, tuple(per))
@@ -269,7 +260,7 @@ def smoothness_chart_check(w: CiWeb, charts=None,
     per = []
     k = w.n - 1
     for chart in _charts(w, charts):
-        forms = [chart_form(p, chart).poly for p in w.pdes]
+        forms = _chart_forms(w, chart)
         names = chart.table.names
         jac = [[partial_derivative(F, v) for v in names] for F in forms]
         gens = list(forms)

@@ -1,5 +1,6 @@
 """Input validation, command dispatch, report determinism, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from webweave.cli import (
+    COMMANDS,
     EXIT_ENGINE,
     EXIT_INPUT,
     EXIT_OK,
@@ -17,6 +19,7 @@ from webweave.cli import (
 )
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
+REPORT_DIGESTS = Path(__file__).resolve().parent / "report_digests.json"
 
 CONIC = {
     "n": 2,
@@ -87,6 +90,29 @@ def test_parse_rejects_incidence_multiple():
     ]]}
     with pytest.raises(InputError, match="incidence"):
         parse_document(bad)
+
+
+def _term(c=(1, 1), X=(0, 0, 0), u=(0, 2, 0)):
+    return {"c": list(c), "X": list(X), "u": list(u)}
+
+
+@pytest.mark.parametrize("doc, match", [
+    pytest.param({"n": True, "pdes": [[_term()]]}, "field 'n'", id="n"),
+    pytest.param({"n": 2, "pdes": [[_term(), _term(c=(True, 1))]]},
+                 "term 1: coefficient", id="c-numerator"),
+    pytest.param({"n": 2, "pdes": [[_term(c=(1, True))]]},
+                 "term 0: coefficient", id="c-denominator"),
+    pytest.param({"n": 2, "pdes": [[_term(X=(False, 0, 0))]]},
+                 "term 0: X exponents", id="X-exponent"),
+    pytest.param({"n": 2, "pdes": [[_term(), _term(u=(0, True, True))]]},
+                 "term 1: u exponents", id="u-exponents"),
+])
+def test_parse_rejects_booleans_as_integers(doc, match, tmp_path, capsys):
+    # JSON true/false are not integers, although Python's bool is an int
+    with pytest.raises(InputError, match=match):
+        parse_document(doc)
+    code, out, err = run_cli(["bidegree", write(tmp_path, doc)], capsys)
+    assert code == EXIT_INPUT and not out and match in err
 
 
 def test_parse_flag_defaults():
@@ -217,6 +243,24 @@ def test_reports_are_byte_identical(tmp_path, capsys):
     _, out1, _ = run_cli(["certify", path], capsys)
     _, out2, _ = run_cli(["certify", path], capsys)
     assert out1 == out2
+
+
+def test_sample_reports_match_recorded_digests(capsys):
+    # the reports are the contract: every command on every sample input
+    # must keep its exit code and its stdout byte for byte (the "input"
+    # field echoes the path given on the command line and is left out)
+    recorded = json.loads(REPORT_DIGESTS.read_text(encoding="utf-8"))
+    seen = {}
+    for path in sorted(SAMPLES.glob("*.json")):
+        for command in COMMANDS:
+            code, out, _ = run_cli([command, str(path)], capsys)
+            if out:
+                report = json.loads(out)
+                del report["input"]
+                out = json.dumps(report, indent=2)
+            seen[f"{command} {path.name}"] = [
+                code, hashlib.sha256(out.encode("utf-8")).hexdigest()]
+    assert seen == recorded
 
 
 def test_json_report_round_trips(tmp_path, capsys):
