@@ -308,8 +308,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         pair_cap = int(os.environ.get("WEAVE_PAIR_CAP", DEFAULT_PAIR_CAP))
+        if pair_cap < 0:
+            raise ValueError(pair_cap)
     except ValueError:
-        print("error: WEAVE_PAIR_CAP must be an integer", file=sys.stderr)
+        print("error: WEAVE_PAIR_CAP must be an integer >= 0", file=sys.stderr)
         return EXIT_INPUT
     try:
         doc, digest = parse_input(args.input)

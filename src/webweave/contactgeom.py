@@ -455,11 +455,17 @@ def transport_form(t: ChartTransition, form: "ChartForm | MultiPoly") -> tuple[M
 
 
 def _peel(f: MultiPoly, factors: Sequence[MultiPoly]) -> MultiPoly:
+    """Divide f by the highest power of each unit that divides it exactly."""
     for a in factors:
-        while True:
-            q = exact_divide(f, a)
-            if q is None:
-                break
+        if len(a.terms) == 1:
+            # a monomial unit: its power is read off the exponents in one step
+            ((ae, ac),) = a.terms.items()
+            k = min((e[v] // ae[v] for e in f.terms for v in range(len(ae)) if ae[v]),
+                    default=0)
+            f = MultiPoly(f.vars, {tuple(x - k * y for x, y in zip(e, ae)): c / ac**k
+                                   for e, c in f.terms.items()})
+            continue
+        while (q := exact_divide(f, a)) is not None:
             f = q
     return f
 

@@ -5,6 +5,12 @@ critical scheme": membership is tested in the ideal itself, not its
 radical, so nilpotent structure is respected.  All computations are
 deterministic: fixed pair selection (minimal lcm total degree, ties by
 index) and a fixed reduction order.
+
+Completion discards S-pairs with the Gebauer–Möller criteria (product,
+chain B, and M/F on each new element's pairs) before reducing them, and
+stops with the unit basis ``(1)`` as soon as a nonzero constant appears,
+which is what ``is_trivial_ideal`` asks.  The pair cap counts only the
+S-polynomial reductions actually performed.
 """
 
 from __future__ import annotations
@@ -159,76 +165,105 @@ def s_polynomial(f: MultiPoly, g: MultiPoly, order: MonomialOrder = GREVLEX) -> 
     return mf * f - mg * g
 
 
+def _lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def _coprime(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    return not any(x and y for x, y in zip(a, b))
+
+
+def _update(leads, live, pairs, k):
+    """Gebauer–Möller update of the live list and pair heap for new element k.
+
+    Old pairs go by criterion B (the new leading monomial divides their lcm
+    and gives a different lcm with either end).  Of the new pairs with the
+    live elements, a pair goes by criteria M and F when another new pair's
+    lcm divides its lcm (of equal lcms the last survives), and then by the
+    product criterion when the two leading monomials are coprime.  Returns
+    the new live list and pair heap.
+    """
+    h = leads[k]
+    kept = [p for p in pairs
+            if not (_divides(h, p[3]) and _lcm(leads[p[1]], h) != p[3]
+                    and _lcm(leads[p[2]], h) != p[3])]
+    new = [(i, _lcm(leads[i], h)) for i in live]
+    chosen: list[tuple[int, tuple[int, ...]]] = []
+    for t, (i, lcm) in enumerate(new):
+        if _coprime(leads[i], h) or not any(
+                _divides(m, lcm) for _, m in itertools.chain(new[t + 1:], chosen)):
+            chosen.append((i, lcm))
+    kept.extend((sum(lcm), i, k, lcm) for i, lcm in chosen if not _coprime(leads[i], h))
+    heapq.heapify(kept)
+    return [i for i in live if not _divides(h, leads[i])] + [k], kept
+
+
 def buchberger(gens, order: MonomialOrder = GREVLEX,
                pair_cap: int = DEFAULT_PAIR_CAP) -> IdealBasis:
     """Reduced Groebner basis of the given generators.
 
+    Each input and each S-polynomial is reduced by every element found so
+    far and, when nonzero, inserted through the Gebauer–Möller update
+    (``_update``), which discards pairs by the product criterion and
+    criteria B, M and F before they are reduced.  New pairs are formed only
+    with the live elements, those whose leading monomial no later leading
+    monomial divides.  A nonzero constant returns the unit basis ``(1)`` at
+    once.  Every inserted leading monomial is reduced by all earlier ones,
+    so the live list ends as a minimal basis, and its inter-reduction is
+    the reduced basis.
+
     Deterministic: pairs are processed by minimal lcm total degree with
     ties broken by generator index; intermediate polynomials are kept
-    primitive to control coefficient growth.  Exceeding ``pair_cap``
-    S-polynomial reductions raises PairCapExceeded rather than
+    primitive to control coefficient growth.  ``pair_cap`` bounds the
+    S-polynomial reductions actually performed (pairs a criterion discards
+    do not count); exceeding it raises PairCapExceeded rather than
     truncating silently.
     """
-    work = []
-    for g in gens:
-        if g:
-            _, prim = integer_primitive(g)
-            work.append(_monic(prim, order))
-    if not work:
+    gens = [g for g in gens if g]
+    if not gens:
         return IdealBasis((), order, True)
-    table = work[0].vars
-    if any(g.vars != table for g in work):
+    table = gens[0].vars
+    if any(g.vars != table for g in gens):
         raise UsageError("generators live over different variable tables")
 
-    basis: list[MultiPoly] = list(work)
-    leads: list[tuple[int, ...]] = [_leading(g, order)[0] for g in basis]
-    divisors = _divisor_data(basis, order)
-    heap: list[tuple[int, int, int]] = []
-    for a, b in itertools.combinations(range(len(basis)), 2):
-        lcm = tuple(max(x, y) for x, y in zip(leads[a], leads[b]))
-        heapq.heappush(heap, (sum(lcm), a, b))
+    basis: list[MultiPoly] = []
+    leads: list[tuple[int, ...]] = []
+    live: list[int] = []
+    divisors: list = []
+    pairs: list[tuple[int, int, int, tuple[int, ...]]] = []
     reductions = 0
+    inputs = gens[::-1]
 
-    while heap:
-        _, a, b = heapq.heappop(heap)
-        lcm = tuple(max(x, y) for x, y in zip(leads[a], leads[b]))
-        if lcm == tuple(x + y for x, y in zip(leads[a], leads[b])):
-            continue  # coprime leading monomials: S-polynomial reduces to zero
-        reductions += 1
-        if reductions > pair_cap:
-            raise PairCapExceeded(
-                f"Buchberger exceeded {pair_cap} pair reductions; "
-                "raise WEAVE_PAIR_CAP only if the input is known to be tame")
-        s = s_polynomial(basis[a], basis[b], order)
-        _, s = integer_primitive(s)
-        if s:
-            h = MultiPoly(table, _reduce_terms(s.terms, divisors, order.key))
+    while inputs or pairs:
+        if inputs:
+            f = inputs.pop()
         else:
-            h = s
-        if h:
-            _, h = integer_primitive(h)
-            h = _monic(h, order)
-            new_index = len(basis)
-            basis.append(h)
-            he, _ = _leading(h, order)
-            leads.append(he)
-            divisors.append((h.terms, he, Fraction(1)))
-            for t in range(new_index):
-                lcm = tuple(max(x, y) for x, y in zip(leads[t], he))
-                heapq.heappush(heap, (sum(lcm), t, new_index))
-
-    # minimalize: drop generators whose leading monomial is divisible by
-    # another surviving generator's leading monomial
-    keep: list[int] = []
-    leads = [_leading(g, order)[0] for g in basis]
-    for t in range(len(basis)):
-        if any(_divides(leads[s], leads[t]) for s in range(len(basis))
-               if s != t and (s in keep or s > t)):
+            _, a, b, _ = heapq.heappop(pairs)
+            reductions += 1
+            if reductions > pair_cap:
+                raise PairCapExceeded(
+                    f"Buchberger exceeded {pair_cap} pair reductions; "
+                    "raise WEAVE_PAIR_CAP only if the input is known to be tame")
+            f = s_polynomial(basis[a], basis[b], order)
+        _, f = integer_primitive(f)
+        # Superseded elements stay divisors, in insertion order: they still
+        # lie in the ideal, and with the live ones alone the coefficients
+        # swelled on one block-order caustic chart of a mixed_n3 variant,
+        # which then ran past 60 s instead of 0.4 s.
+        h = MultiPoly(table, _reduce_terms(f.terms, divisors, order.key))
+        if not h:
             continue
-        keep.append(t)
-    minimal = [basis[t] for t in keep]
+        if h.is_constant():
+            return IdealBasis((MultiPoly.const(table, 1),), order, True)
+        _, h = integer_primitive(h)
+        h = _monic(h, order)
+        basis.append(h)
+        leads.append(_leading(h, order)[0])
+        divisors.append((h.terms, leads[-1], Fraction(1)))
+        live, pairs = _update(leads, live, pairs, len(basis) - 1)
 
-    # inter-reduce tails
+    # inter-reduce tails of the minimal basis
+    minimal = [basis[t] for t in live]
     reduced: list[MultiPoly] = []
     for t, g in enumerate(minimal):
         others = minimal[:t] + minimal[t + 1:]

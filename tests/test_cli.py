@@ -305,6 +305,15 @@ def test_pair_cap_env_triggers_engine_exit(tmp_path, capsys, monkeypatch):
     assert "pair reductions" in err
 
 
+@pytest.mark.parametrize("value", ["abc", "-5"])
+def test_pair_cap_env_rejects_invalid(tmp_path, capsys, monkeypatch, value):
+    path = write(tmp_path, CONIC)
+    monkeypatch.setenv("WEAVE_PAIR_CAP", value)
+    code, out, err = run_cli(["critical", path], capsys)
+    assert code == EXIT_INPUT and not out
+    assert "error: WEAVE_PAIR_CAP must be an integer >= 0" in err
+
+
 def test_invalid_chart_option(tmp_path, capsys):
     path = write(tmp_path, CONIC)
     code, _, err = run_cli(["caustic", path, "--chart", "9,9"], capsys)

@@ -23,8 +23,8 @@ from webweave.contactgeom import (
     transport_form,
     transport_point,
 )
-from webweave.contactgeom import _frame_data
-from webweave.polycore import MultiPoly, UsageError, VarTable, scalar_equal
+from webweave.contactgeom import _frame_data, _peel
+from webweave.polycore import MultiPoly, UsageError, VarTable, exact_divide, scalar_equal
 
 BI2 = VarTable.bihomog(2)
 U0, U1, U2 = (MultiPoly.var(BI2, f"u{k}") for k in range(3))
@@ -309,6 +309,33 @@ def test_covariance_all_pairs_corpus():
     for S in corpus_n2():
         for c1, c2 in itertools.product(standard_atlas(2), repeat=2):
             assert covariance_check(S, c1, c2), (S.poly.to_string(), c1, c2)
+
+
+def _peel_by_division(f, factors):
+    """Reference: strip each unit one power at a time by exact division."""
+    for a in factors:
+        while (q := exact_divide(f, a)) is not None:
+            f = q
+    return f
+
+
+def test_peel_matches_repeated_division():
+    rng = random.Random(77)
+    units = [transition(c1, c2).overlap_factors()
+             for c1, c2 in itertools.product(standard_atlas(3), repeat=2)
+             if c1.i != c2.i and c1.j != c2.j]
+    # x_{i'} is a monomial; keep pairs whose u_{j'} expression is not, so
+    # both branches of _peel run
+    units = [u for u in units if len(u[1].terms) > 1]
+    for x_unit, u_unit in rng.sample(units, 12):
+        table = x_unit.vars
+        for _ in range(3):
+            g = MultiPoly(table, {tuple(rng.randint(0, 2) for _ in table.names):
+                                  Fraction(rng.randint(1, 5), rng.randint(1, 3))
+                                  for _ in range(rng.randint(1, 4))})
+            f = g * x_unit ** rng.randint(0, 3) * u_unit ** rng.randint(0, 2)
+            for factors in ([x_unit, u_unit], [Fraction(3, 2) * x_unit, u_unit]):
+                assert _peel(f, factors) == _peel_by_division(f, factors)
 
 
 def test_covariance_negative_control():

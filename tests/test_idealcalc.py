@@ -2,10 +2,15 @@
 
 import itertools
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from oracles import macaulay_certificate, macaulay_member
+from webweave import idealcalc
+from webweave.cli import parse_input
+from webweave.contactgeom import standard_atlas
 from webweave.idealcalc import (
     GREVLEX,
     LEX,
@@ -25,7 +30,9 @@ from webweave.polycore import (
     resultant,
     scalar_equal,
 )
+from webweave.webanalysis import chart_web_data
 
+SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
 T = VarTable.chart(2, 0, 2)
 X1, X2, P1 = (MultiPoly.var(T, n) for n in ("x1", "x2", "p1"))
 
@@ -157,9 +164,9 @@ def test_lex_textbook_example():
     assert 2 * got[0] == 2 * y**3 - 1
 
 
-def rand_ideal(rng, table):
+def rand_ideal(rng, table, count=(2, 3)):
     gens = []
-    for _ in range(rng.randint(2, 3)):
+    for _ in range(rng.randint(*count)):
         terms = {}
         for _ in range(rng.randint(1, 3)):
             e = tuple(rng.randint(0, 3) for _ in table.names)
@@ -202,42 +209,74 @@ def test_membership_agrees_with_macaulay_oracle():
             checked += 1
 
 
-def test_reduced_basis_matches_sympy_on_random_ideals():
+def _sympy_basis(sympy, gens, order):
+    """Reduced basis from sympy.groebner, converted back to MultiPoly."""
+    table = gens[0].vars
+    syms = sympy.symbols(table.names)
+    exprs = [sum(sympy.Rational(c.numerator, c.denominator)
+                 * sympy.Mul(*(s**k for s, k in zip(syms, e)))
+                 for e, c in g.terms.items()) for g in gens]
+    gb = sympy.groebner(exprs, *syms, order=order, field=True)
+    return [MultiPoly(table, {tuple(m): Fraction(str(sympy.Rational(c))) for m, c in p.terms()})
+            for p in gb.polys]
+
+
+def _assert_same_basis(ours, theirs):
+    assert len(ours) == len(theirs)
+    for g in ours:
+        assert any(g == h for h in theirs), \
+            f"basis element {g} missing from reference {[str(t) for t in theirs]}"
+
+
+@pytest.mark.parametrize("names, count, order", [
+    (("a", "b", "c"), (2, 3), "grevlex"),
+    (("a", "b", "c", "d"), (3, 4), "lex"),
+], ids=["3vars-grevlex", "4vars-lex"])
+def test_reduced_basis_matches_sympy_on_random_ideals(names, count, order):
     sympy = pytest.importorskip("sympy")
-    from sympy.polys.orderings import grevlex as sym_grevlex
-
-    syms = sympy.symbols("a b c")
-    table = VarTable.plain(("a", "b", "c"))
+    table = VarTable.plain(names)
     rng = random.Random(424242)
-
-    def to_sympy(f):
-        expr = 0
-        for e, coeff in f.terms.items():
-            term = sympy.Rational(coeff.numerator, coeff.denominator)
-            for s, k in zip(syms, e):
-                term *= s**k
-            expr += term
-        return expr
-
-    def from_sympy_poly(p):
-        terms = {}
-        for monom, coeff in p.terms():
-            q = sympy.Rational(coeff)
-            from fractions import Fraction
-            terms[tuple(monom)] = Fraction(int(q.p), int(q.q))
-        return MultiPoly(table, terms)
-
+    ours_order = GREVLEX if order == "grevlex" else LEX
     for _ in range(15):
-        gens = rand_ideal(rng, table)
+        gens = rand_ideal(rng, table, count)
         if not gens:
             continue
-        ours = buchberger(gens)
-        gb = sympy.groebner([to_sympy(g) for g in gens], *syms,
-                            order=sym_grevlex, field=True)
-        theirs = [from_sympy_poly(p) for p in gb.polys]
-        if not any(g for g in gens):
+        _assert_same_basis(buchberger(gens, ours_order), _sympy_basis(sympy, gens, order))
+
+
+@pytest.mark.parametrize("sample", sorted(p.name for p in SAMPLES.glob("*.json")))
+def test_critical_basis_matches_sympy_on_samples(sample):
+    sympy = pytest.importorskip("sympy")
+    doc, _ = parse_input(str(SAMPLES / sample))
+    w = doc.web()
+    for chart in standard_atlas(w.n):
+        data = chart_web_data(w, chart)
+        if data.degenerate:
             continue
-        assert len(ours) == len(theirs)
-        for g in ours:
-            assert any(g == h for h in theirs), \
-                f"basis element {g} missing from reference {[str(t) for t in theirs]}"
+        gens = list(data.forms) + [data.critical_det]
+        _assert_same_basis(data.critical_basis, _sympy_basis(sympy, gens, "grevlex"))
+
+
+def test_pair_criteria_skip_most_pairs(monkeypatch):
+    """The critical bases of mixed_n3 need few S-polynomials.
+
+    With only the product criterion (before the Gebauer-Moller chain and
+    update criteria) this loop formed 2,130 S-polynomials; with them it
+    forms about 380.
+    """
+    calls = 0
+    spoly = idealcalc.s_polynomial
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return spoly(*args)
+
+    monkeypatch.setattr(idealcalc, "s_polynomial", counting)
+    doc, _ = parse_input(str(SAMPLES / "mixed_n3.json"))
+    w = doc.web()
+    for chart in standard_atlas(w.n):
+        data = chart_web_data(w, chart)
+        if not data.degenerate:
+            assert data.critical_basis is not None
+    assert 0 < calls <= 600
