@@ -16,21 +16,10 @@ import sys
 from fractions import Fraction
 
 from . import cohomcalc, webanalysis
-from .contactgeom import (
-    BiHomogPde,
-    Chart,
-    chart_form,
-    dual_pde,
-    is_algebraic_pde,
-    standard_atlas,
-)
+from .contactgeom import BiHomogPde, Chart, chart_form, dual_pde, is_algebraic_pde
 from .idealcalc import DEFAULT_PAIR_CAP, PairCapExceeded
 from .polycore import MultiPoly, UsageError, VarTable
 from .webanalysis import CiWeb
-
-COMMANDS = ("bidegree", "chart-form", "dual", "linearizable", "critical",
-            "caustic", "dicritical", "hyperdicritical", "smooth", "algebraic",
-            "chern", "bott", "certify")
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -42,20 +31,16 @@ class InputError(ValueError):
 
 
 class InputDocument:
-    def __init__(self, n: int, pdes: list[BiHomogPde],
-                 asserted_irreducible: bool, asserted_quasi_smooth: bool):
+    def __init__(self, n: int, pdes: list[BiHomogPde]):
         self.n = n
         self.pdes = pdes
-        self.asserted_irreducible = asserted_irreducible
-        self.asserted_quasi_smooth = asserted_quasi_smooth
 
     def web(self) -> CiWeb:
         if len(self.pdes) != self.n - 1:
             raise InputError(
                 f"web commands need exactly {self.n - 1} equations for n={self.n}, "
                 f"got {len(self.pdes)}")
-        return CiWeb(self.n, tuple(self.pdes), self.asserted_irreducible,
-                     self.asserted_quasi_smooth)
+        return CiWeb(self.n, tuple(self.pdes))
 
 
 def _is_int(v) -> bool:
@@ -108,15 +93,13 @@ def parse_document(data) -> InputDocument:
             pdes.append(BiHomogPde(n, poly))
         except UsageError as exc:
             raise InputError(f"pde {k}: {exc}") from exc
-    flags = {f: bool(data.get(f, False))
-             for f in ("asserted_irreducible", "asserted_quasi_smooth")}
-    return InputDocument(n, pdes, flags["asserted_irreducible"],
-                         flags["asserted_quasi_smooth"])
+    return InputDocument(n, pdes)
 
 
 def parse_input(path: str) -> tuple[InputDocument, str]:
     try:
-        blob = open(path, "rb").read()
+        with open(path, "rb") as f:
+            blob = f.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
@@ -180,99 +163,124 @@ def _charts_arg(doc: InputDocument, chart_opts) -> tuple[Chart, ...] | None:
     return tuple(charts)
 
 
+def _bidegree(doc: InputDocument, charts, pair_cap: int) -> dict:
+    body = {"pdes": [{"bidegree": list(p.bidegree), "algebraic": is_algebraic_pde(p)}
+                     for p in doc.pdes]}
+    if len(doc.pdes) == doc.n - 1:
+        w = doc.web()
+        body["weight"] = webanalysis.weight(w)
+        body["multidegree"] = list(webanalysis.multidegree(w))
+        body["degree"] = webanalysis.degree(w)
+    return body
+
+
+def _chart_form(doc: InputDocument, charts, pair_cap: int) -> dict:
+    atlas = webanalysis.atlas(doc.n, charts)
+    return {"pdes": [{"forms": [{"chart": _chart_id(c), "F": str(chart_form(p, c).poly)}
+                                for c in atlas]} for p in doc.pdes]}
+
+
+def _dual(doc: InputDocument, charts, pair_cap: int) -> dict:
+    out = []
+    for k, p in enumerate(doc.pdes):
+        try:
+            d = dual_pde(p)
+        except UsageError as exc:
+            raise InputError(f"pde {k}: {exc}") from exc
+        out.append({"bidegree": list(d.bidegree), "terms": _pde_terms(d)})
+    return {"pdes": out}
+
+
+def _critical(doc: InputDocument, charts, pair_cap: int) -> dict:
+    w = doc.web()
+    out = []
+    for c in webanalysis.atlas(doc.n, charts):
+        data = webanalysis.chart_web_data(w, c, pair_cap)
+        entry = {"chart": _chart_id(c), "degenerate": data.degenerate,
+                 "critical_det": str(data.critical_det)}
+        if data.critical_basis is not None:
+            entry["critical_basis"] = [str(g) for g in data.critical_basis]
+        out.append(entry)
+    return {"charts": out}
+
+
+def _caustic(doc: InputDocument, charts, pair_cap: int) -> dict:
+    w = doc.web()
+    return {"charts": [
+        {"chart": _chart_id(c),
+         "generators": [str(g) for g in webanalysis.caustic_generators(w, c, pair_cap)]}
+        for c in webanalysis.atlas(doc.n, charts)]}
+
+
+def _algebraic(doc: InputDocument, charts, pair_cap: int) -> dict:
+    w = doc.web()
+    return {"algebraic": webanalysis.is_algebraic_web(w),
+            "multidegree": list(webanalysis.multidegree(w))}
+
+
+def _chern(doc: InputDocument, charts, pair_cap: int) -> dict:
+    n = doc.n
+    return {"chern_T": [str(cohomcalc.chern_T(n, j)) for j in range(n + 1)],
+            "top_class_vanishes": not cohomcalc.nf(cohomcalc.chern_T(n, n))}
+
+
+def _bott(doc: InputDocument, charts, pair_cap: int) -> dict:
+    w = doc.web()
+    N, bott, bridge = webanalysis.bott_bridge(webanalysis.multidegree_data(w))
+    return {"weight": webanalysis.weight(w), "multidegree": list(webanalysis.multidegree(w)),
+            "script_N": _frac(N), "bott_number": bott,
+            "bott_equals_weight_times_script_N": bridge}
+
+
+def _certify(doc: InputDocument, charts, pair_cap: int) -> dict:
+    rep = webanalysis.certify_algebraicity(doc.web(), pair_cap)
+    return {
+        "weight": rep.weight,
+        "multidegree": list(rep.multidegree),
+        "degree": rep.degree,
+        "algebraic": rep.algebraic,
+        "smooth": _verdict_dict(rep.smooth),
+        "dicritical": _verdict_dict(rep.dicritical),
+        "script_N": _frac(rep.script_N),
+        "bott_number": rep.bott_number,
+        "bott_equals_weight_times_script_N": rep.bott_bridge_ok,
+        "caustic_class_coefficients": list(rep.caustic.coefficients),
+        "caustic_class_all_positive": rep.caustic.all_positive,
+        "caustic_class_nonzero": rep.caustic.nonzero,
+        "contradiction": rep.contradiction,
+        "notes": list(rep.notes),
+    }
+
+
+# Each command's report body from (document, requested charts or None, pair
+# cap), in the order of the usage message.
+_COMMAND_TABLE = {
+    "bidegree": _bidegree,
+    "chart-form": _chart_form,
+    "dual": _dual,
+    "linearizable": lambda doc, charts, pair_cap: {"pdes": [
+        _verdict_dict(webanalysis.is_linearizable_pde(p, charts, pair_cap)) for p in doc.pdes]},
+    "critical": _critical,
+    "caustic": _caustic,
+    "dicritical": lambda doc, charts, pair_cap: _verdict_dict(
+        webanalysis.is_dicritical(doc.web(), charts, pair_cap)),
+    "hyperdicritical": lambda doc, charts, pair_cap: _verdict_dict(
+        webanalysis.is_hyperdicritical(doc.web(), charts, pair_cap)),
+    "smooth": lambda doc, charts, pair_cap: _verdict_dict(
+        webanalysis.smoothness_chart_check(doc.web(), charts, pair_cap)),
+    "algebraic": _algebraic,
+    "chern": _chern,
+    "bott": _bott,
+    "certify": _certify,
+}
+COMMANDS = tuple(_COMMAND_TABLE)
+
+
 def run(command: str, doc: InputDocument, charts, pair_cap: int) -> dict:
     """Dispatch one command; returns the body of the report."""
-    atlas = charts if charts else standard_atlas(doc.n)
-    body: dict = {}
-    if command == "bidegree":
-        body["pdes"] = [{"bidegree": list(p.bidegree),
-                         "algebraic": is_algebraic_pde(p)} for p in doc.pdes]
-        if len(doc.pdes) == doc.n - 1:
-            w = doc.web()
-            body["weight"] = webanalysis.weight(w)
-            body["multidegree"] = list(webanalysis.multidegree(w))
-            body["degree"] = webanalysis.degree(w)
-    elif command == "chart-form":
-        body["pdes"] = [
-            {"forms": [{"chart": _chart_id(c),
-                        "F": str(chart_form(p, c).poly)} for c in atlas]}
-            for p in doc.pdes]
-    elif command == "dual":
-        out = []
-        for k, p in enumerate(doc.pdes):
-            try:
-                d = dual_pde(p)
-            except UsageError as exc:
-                raise InputError(f"pde {k}: {exc}") from exc
-            out.append({"bidegree": list(d.bidegree), "terms": _pde_terms(d)})
-        body["pdes"] = out
-    elif command == "linearizable":
-        body["pdes"] = [
-            _verdict_dict(webanalysis.is_linearizable_pde(p, charts, pair_cap))
-            for p in doc.pdes]
-    elif command == "critical":
-        w = doc.web()
-        out = []
-        for c in atlas:
-            data = webanalysis.chart_web_data(w, c, pair_cap)
-            entry = {"chart": _chart_id(c), "degenerate": data.degenerate,
-                     "critical_det": str(data.critical_det)}
-            if data.critical_basis is not None:
-                entry["critical_basis"] = [str(g) for g in data.critical_basis]
-            out.append(entry)
-        body["charts"] = out
-    elif command == "caustic":
-        w = doc.web()
-        body["charts"] = [
-            {"chart": _chart_id(c),
-             "generators": [str(g) for g in webanalysis.caustic_generators(w, c, pair_cap)]}
-            for c in atlas]
-    elif command == "dicritical":
-        body.update(_verdict_dict(webanalysis.is_dicritical(doc.web(), charts, pair_cap)))
-    elif command == "hyperdicritical":
-        body.update(_verdict_dict(webanalysis.is_hyperdicritical(doc.web(), charts, pair_cap)))
-    elif command == "smooth":
-        body.update(_verdict_dict(webanalysis.smoothness_chart_check(doc.web(), charts, pair_cap)))
-    elif command == "algebraic":
-        w = doc.web()
-        body["algebraic"] = webanalysis.is_algebraic_web(w)
-        body["multidegree"] = list(webanalysis.multidegree(w))
-    elif command == "chern":
-        n = doc.n
-        classes = [str(cohomcalc.chern_T(n, j)) for j in range(n + 1)]
-        body["chern_T"] = classes
-        body["top_class_vanishes"] = not cohomcalc.nf(cohomcalc.chern_T(n, n))
-    elif command == "bott":
-        w = doc.web()
-        m = webanalysis.multidegree_data(w)
-        N = cohomcalc.script_N(m)
-        body["weight"] = m.weight
-        body["multidegree"] = list(webanalysis.multidegree(w))
-        body["script_N"] = _frac(N)
-        body["bott_number"] = cohomcalc.bott_number(m)
-        body["bott_equals_weight_times_script_N"] = \
-            body["bott_number"] == m.weight * N
-    elif command == "certify":
-        rep = webanalysis.certify_algebraicity(doc.web(), pair_cap)
-        body.update({
-            "weight": rep.weight,
-            "multidegree": list(rep.multidegree),
-            "degree": rep.degree,
-            "algebraic": rep.algebraic,
-            "smooth": _verdict_dict(rep.smooth),
-            "dicritical": _verdict_dict(rep.dicritical),
-            "script_N": _frac(rep.script_N),
-            "bott_number": rep.bott_number,
-            "bott_equals_weight_times_script_N": rep.bott_bridge_ok,
-            "caustic_class_coefficients": list(rep.caustic.coefficients),
-            "caustic_class_all_positive": rep.caustic.all_positive,
-            "caustic_class_nonzero": rep.caustic.nonzero,
-            "contradiction": rep.contradiction,
-            "notes": list(rep.notes),
-        })
-    else:
+    if command not in _COMMAND_TABLE:
         raise InputError(f"unknown command {command!r}")
-    return body
+    return _COMMAND_TABLE[command](doc, charts, pair_cap)
 
 
 def _render_text(report: dict, indent: str = "") -> str:
@@ -317,15 +325,12 @@ def main(argv=None) -> int:
         doc, digest = parse_input(args.input)
         charts = _charts_arg(doc, args.chart)
         body = run(args.command, doc, charts, pair_cap)
-    except InputError as exc:
+    except (InputError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except PairCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ENGINE
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
 
     report = {"command": args.command, "input": args.input, "digest": digest,
               "n": doc.n}

@@ -191,14 +191,13 @@ class ChartForm:
 
     chart: Chart
     poly: MultiPoly
-    source: BiHomogPde | None = None
 
 
 def chart_form(S: BiHomogPde, chart: Chart) -> ChartForm:
     if chart.n != S.n:
         raise UsageError("chart and equation dimensions differ")
     F, _ = substitute(S.poly, chart.substitution(), target=chart.table)
-    return ChartForm(chart, F, S)
+    return ChartForm(chart, F)
 
 
 def _degree_vectors(total: int, slots: int):
@@ -287,14 +286,14 @@ class RatFunc:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: MultiPoly, den: MultiPoly | None = None, reduce: bool = True):
+    def __init__(self, num: MultiPoly, den: MultiPoly | None = None):
         if den is None:
             den = MultiPoly.const(num.vars, 1)
         if not den:
             raise UsageError("zero denominator")
         if num.vars != den.vars:
             raise UsageError("numerator and denominator tables differ")
-        if reduce and num:
+        if num:
             g = multivar_gcd([num, den])
             if not g.is_constant():
                 num = exact_divide(num, g)
@@ -302,7 +301,7 @@ class RatFunc:
             _, lead = den.leading()
             if lead < 0:
                 num, den = -num, -den
-        elif not num:
+        else:
             den = MultiPoly.const(num.vars, 1)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -321,7 +320,7 @@ class RatFunc:
         return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den, reduce=False)
+        return RatFunc(-self.num, self.den)
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
         return RatFunc(self.num * other.num, self.den * other.den)
@@ -356,24 +355,15 @@ class RatFunc:
 
 
 @dataclass(frozen=True)
-class ChartTransition:
-    """Exact transition between two standard charts.
-
-    ``x_map``/``p_map`` express the target coordinates as rational
-    functions of the source ones.  J is the Jacobian of the point-part in
-    the source/target slot order, K its adjugate (so J K = det(J) I), and
-    ``frame_det`` the induced transition factor for wedges of the contact
-    frame fields; these are the covariance data of chart forms.
-    """
+class ChartMaps:
+    """Coordinate maps between two standard charts: ``x_map``/``p_map``
+    express the target coordinates as rational functions of the source
+    ones."""
 
     source: Chart
     target: Chart
     x_map: tuple[tuple[str, RatFunc], ...]
     p_map: tuple[tuple[str, RatFunc], ...]
-    J: tuple[tuple[RatFunc, ...], ...]
-    K: tuple[tuple[RatFunc, ...], ...]
-    jac_det: RatFunc
-    frame_det: RatFunc
 
     @property
     def maps(self) -> dict[str, RatFunc]:
@@ -389,6 +379,22 @@ class ChartTransition:
             _, prim = integer_primitive(src.u_values()[tgt.j])
             out.append(prim)
         return out
+
+
+@dataclass(frozen=True)
+class ChartTransition(ChartMaps):
+    """Exact transition between two standard charts.
+
+    Besides the coordinate maps, J is the Jacobian of the point-part in
+    the source/target slot order, K its adjugate (so J K = det(J) I), and
+    ``frame_det`` the induced transition factor for wedges of the contact
+    frame fields; these are the covariance data of chart forms.
+    """
+
+    J: tuple[tuple[RatFunc, ...], ...]
+    K: tuple[tuple[RatFunc, ...], ...]
+    jac_det: RatFunc
+    frame_det: RatFunc
 
 
 def _frame_data(source: Chart, nums: Sequence[MultiPoly], den: MultiPoly):
@@ -414,34 +420,30 @@ def _frame_data(source: Chart, nums: Sequence[MultiPoly], den: MultiPoly):
             RatFunc(poly_det(M), adj_den * den2), RatFunc(frame, adj_den))
 
 
-def transition(c1: Chart, c2: Chart) -> ChartTransition:
+def _chart_maps(c1: Chart, c2: Chart) -> ChartMaps:
     """Exact rational maps (x', p') in terms of (x, p) between two charts."""
     if c1.n != c2.n:
         raise UsageError("charts live on different spaces")
-    table = c1.table
-    one = MultiPoly.const(table, 1)
-
-    def X_value(k: int) -> MultiPoly:
-        return one if k == c1.i else c1.x(k)
-
-    x_map = []
-    for k in c2.x_indices:
-        x_map.append((f"x{k}", RatFunc(X_value(k), X_value(c2.i))))
-    u_vals = c1.u_values()
-    p_map = []
-    for a in c2.p_indices:
-        p_map.append((f"p{a}", RatFunc(-u_vals[a], u_vals[c2.j])))
-
-    J, K, jac_det, frame_det = _frame_data(
-        c1, [X_value(k) for k in c2.slot_indices], X_value(c2.i))
-    return ChartTransition(c1, c2, tuple(x_map), tuple(p_map), J, K, jac_det, frame_det)
+    sub = c1.substitution()
+    x_map = tuple((f"x{k}", RatFunc(sub[f"X{k}"], sub[f"X{c2.i}"])) for k in c2.x_indices)
+    p_map = tuple((f"p{a}", RatFunc(-sub[f"u{a}"], sub[f"u{c2.j}"])) for a in c2.p_indices)
+    return ChartMaps(c1, c2, x_map, p_map)
 
 
-def transport_point(t: ChartTransition, point: Mapping[str, Fraction]) -> dict[str, Fraction]:
+def transition(c1: Chart, c2: Chart) -> ChartTransition:
+    """The coordinate maps between two charts and the Jacobian package of
+    their point-part."""
+    m = _chart_maps(c1, c2)
+    sub = c1.substitution()
+    frame = _frame_data(c1, [sub[f"X{k}"] for k in c2.slot_indices], sub[f"X{c2.i}"])
+    return ChartTransition(c1, c2, m.x_map, m.p_map, *frame)
+
+
+def transport_point(t: ChartMaps, point: Mapping[str, Fraction]) -> dict[str, Fraction]:
     return {name: expr.evaluate(point) for name, expr in t.maps.items()}
 
 
-def transport_form(t: ChartTransition, form: "ChartForm | MultiPoly") -> tuple[MultiPoly, MultiPoly]:
+def transport_form(t: ChartMaps, form: "ChartForm | MultiPoly") -> tuple[MultiPoly, MultiPoly]:
     """Pull a target-chart form back to the source chart, clearing denominators.
 
     Returns (N, D) with N = D * (F o transition); D is the product of the
@@ -478,7 +480,7 @@ def covariance_check(S: BiHomogPde, c1: Chart, c2: Chart) -> bool:
     of x_{i'} and of the u_{j'} expression, which generate the covariance
     factor together with a nonzero rational constant).
     """
-    t = transition(c1, c2)
+    t = _chart_maps(c1, c2)
     F1 = chart_form(S, c1).poly
     F2 = chart_form(S, c2).poly
     N, D = transport_form(t, F2)

@@ -82,7 +82,6 @@ def block_order(table: VarTable, eliminated: "str | tuple[str, ...] | list[str]"
 class IdealBasis:
     generators: tuple[MultiPoly, ...]
     order: MonomialOrder
-    reduced: bool
 
     def __iter__(self):
         return iter(self.generators)
@@ -221,7 +220,7 @@ def buchberger(gens, order: MonomialOrder = GREVLEX,
     """
     gens = [g for g in gens if g]
     if not gens:
-        return IdealBasis((), order, True)
+        return IdealBasis((), order)
     table = gens[0].vars
     if any(g.vars != table for g in gens):
         raise UsageError("generators live over different variable tables")
@@ -254,7 +253,7 @@ def buchberger(gens, order: MonomialOrder = GREVLEX,
         if not h:
             continue
         if h.is_constant():
-            return IdealBasis((MultiPoly.const(table, 1),), order, True)
+            return IdealBasis((MultiPoly.const(table, 1),), order)
         _, h = integer_primitive(h)
         h = _monic(h, order)
         basis.append(h)
@@ -271,7 +270,7 @@ def buchberger(gens, order: MonomialOrder = GREVLEX,
         if h:
             reduced.append(_monic(h, order))
     reduced.sort(key=lambda g: order.key(_leading(g, order)[0]))
-    return IdealBasis(tuple(reduced), order, True)
+    return IdealBasis(tuple(reduced), order)
 
 
 def ideal_member(f: MultiPoly, gens, order: MonomialOrder = GREVLEX,

@@ -29,13 +29,8 @@ def _grevlex_key(exps: tuple[int, ...]):
 
 @dataclass(frozen=True)
 class VarTable:
-    """Ordered variable list partitioned into named groups.
+    """Ordered variable list partitioned into named groups."""
 
-    ``n`` is the ambient projective dimension the table was built for; the
-    kernel itself only needs the names and the group partition.
-    """
-
-    n: int
     names: tuple[str, ...]
     groups: tuple[tuple[str, tuple[int, ...]], ...]
 
@@ -59,8 +54,8 @@ class VarTable:
             raise UsageError("dimension must be >= 1")
         xs = tuple(f"X{k}" for k in range(n + 1))
         us = tuple(f"u{k}" for k in range(n + 1))
-        return cls(n, xs + us, (("X", tuple(range(n + 1))),
-                                ("u", tuple(range(n + 1, 2 * n + 2)))))
+        return cls(xs + us, (("X", tuple(range(n + 1))),
+                             ("u", tuple(range(n + 1, 2 * n + 2)))))
 
     @classmethod
     def chart(cls, n: int, i: int, j: int) -> "VarTable":
@@ -69,14 +64,13 @@ class VarTable:
             raise UsageError(f"invalid chart indices ({i},{j}) for n={n}")
         xs = tuple(f"x{k}" for k in range(n + 1) if k != i)
         ps = tuple(f"p{k}" for k in range(n + 1) if k not in (i, j))
-        return cls(n, xs + ps, (("x", tuple(range(n))),
-                                ("p", tuple(range(n, 2 * n - 1)))))
+        return cls(xs + ps, (("x", tuple(range(n))),
+                             ("p", tuple(range(n, 2 * n - 1)))))
 
     @classmethod
-    def plain(cls, names: Sequence[str], n: int | None = None) -> "VarTable":
+    def plain(cls, names: Sequence[str]) -> "VarTable":
         names = tuple(names)
-        return cls(len(names) if n is None else n, names,
-                   (("v", tuple(range(len(names)))),))
+        return cls(names, (("v", tuple(range(len(names)))),))
 
     def index(self, name: str) -> int:
         try:

@@ -27,17 +27,10 @@ from .polycore import MultiPoly, PolyMatrix, UsageError, multivar_gcd, \
 
 @dataclass(frozen=True)
 class CiWeb:
-    """A complete-intersection web: n-1 equations on P_n.
-
-    The two assertion flags record user responsibility for hypotheses the
-    tool does not verify (irreducibility of the presented variety and
-    quasi-smoothness when the chart check is inconclusive).
-    """
+    """A complete-intersection web: n-1 equations on P_n."""
 
     n: int
     pdes: tuple[BiHomogPde, ...]
-    asserted_irreducible: bool = False
-    asserted_quasi_smooth: bool = False
 
     def __post_init__(self):
         if self.n < 2:
@@ -48,26 +41,27 @@ class CiWeb:
             raise UsageError("equation dimension does not match the web")
 
 
+def multidegree_data(w: CiWeb) -> MultiDegreeData:
+    return MultiDegreeData(w.n, tuple(p.bidegree for p in w.pdes))
+
+
 def weight(w: CiWeb) -> int:
-    total = 1
-    for p in w.pdes:
-        total *= p.bidegree[1]
-    return total
+    return multidegree_data(w).weight
+
+
+def degree(w: CiWeb) -> int:
+    return multidegree_data(w).degree
 
 
 def multidegree(w: CiWeb) -> tuple[int, ...]:
     return tuple(p.bidegree[0] for p in w.pdes)
 
 
-def degree(w: CiWeb) -> int:
-    total = 1
-    for d in multidegree(w):
-        total *= d
-    return total
-
-
-def multidegree_data(w: CiWeb) -> MultiDegreeData:
-    return MultiDegreeData(w.n, tuple(p.bidegree for p in w.pdes))
+def bott_bridge(m: MultiDegreeData) -> tuple[Fraction, int, bool]:
+    """script_N, the Bott number, and whether the Bott number equals the
+    weight times script_N."""
+    N, bott = script_N(m), bott_number(m)
+    return N, bott, bott == m.weight * N
 
 
 def is_algebraic_web(w: CiWeb) -> bool:
@@ -176,7 +170,7 @@ class WebVerdict:
         return {f"{v.chart.i},{v.chart.j}": v.status for v in self.per_chart}
 
 
-def _aggregate(per_chart: list[ChartVerdict], warnings, extra=()) -> WebVerdict:
+def _aggregate(per_chart: list[ChartVerdict], warnings=(), extra=()) -> WebVerdict:
     live = [v for v in per_chart if v.status != "degenerate"]
     if not live:
         raise UsageError("web violates covering condition: critical determinant "
@@ -185,8 +179,9 @@ def _aggregate(per_chart: list[ChartVerdict], warnings, extra=()) -> WebVerdict:
     return WebVerdict(agg, tuple(per_chart), tuple(dict.fromkeys(warnings)), tuple(extra))
 
 
-def _charts(w: CiWeb, charts) -> tuple[Chart, ...]:
-    return tuple(charts) if charts else standard_atlas(w.n)
+def atlas(n: int, charts) -> tuple[Chart, ...]:
+    """The given charts, or the standard atlas of P_n when none are given."""
+    return tuple(charts) if charts else standard_atlas(n)
 
 
 def _critical_membership(w: CiWeb, charts, pair_cap: int, hyper: bool) -> WebVerdict:
@@ -197,7 +192,7 @@ def _critical_membership(w: CiWeb, charts, pair_cap: int, hyper: bool) -> WebVer
     """
     per, warns = [], []
     on_web = True
-    for chart in _charts(w, charts):
+    for chart in atlas(w.n, charts):
         data = chart_web_data(w, chart, pair_cap)
         warns.extend(data.warnings)
         if hyper:
@@ -240,13 +235,12 @@ def is_linearizable_pde(S: BiHomogPde, charts=None,
     lies in the principal ideal (F) in every chart.
     """
     per = []
-    for chart in (tuple(charts) if charts else standard_atlas(S.n)):
+    for chart in atlas(S.n, charts):
         F = chart_form(S, chart).poly
         basis = buchberger([F], GREVLEX, pair_cap)
         ok = all(not normal_form(e, basis) for e in _contact_row(chart, F))
         per.append(ChartVerdict(chart, "true" if ok else "false"))
-    agg = all(v.status == "true" for v in per)
-    return WebVerdict(agg, tuple(per))
+    return _aggregate(per)
 
 
 def smoothness_chart_check(w: CiWeb, charts=None,
@@ -259,7 +253,7 @@ def smoothness_chart_check(w: CiWeb, charts=None,
     """
     per = []
     k = w.n - 1
-    for chart in _charts(w, charts):
+    for chart in atlas(w.n, charts):
         forms = _chart_forms(w, chart)
         names = chart.table.names
         jac = [[partial_derivative(F, v) for v in names] for F in forms]
@@ -269,8 +263,7 @@ def smoothness_chart_check(w: CiWeb, charts=None,
             gens.append(poly_det(PolyMatrix.from_rows(rows)))
         ok = is_trivial_ideal(gens, GREVLEX, pair_cap)
         per.append(ChartVerdict(chart, "true" if ok else "false"))
-    agg = all(v.status == "true" for v in per)
-    return WebVerdict(agg, tuple(per))
+    return _aggregate(per)
 
 
 def caustic_generators(w: CiWeb, chart: Chart,
@@ -309,26 +302,22 @@ def certify_algebraicity(w: CiWeb, pair_cap: int = DEFAULT_PAIR_CAP) -> Certific
     the arithmetic is wrong.
     """
     m = multidegree_data(w)
-    wt = weight(w)
-    md = multidegree(w)
     smooth = smoothness_chart_check(w, pair_cap=pair_cap)
     dicrit = is_dicritical(w, pair_cap=pair_cap)
     algebraic = is_algebraic_web(w)
-    N = script_N(m)
-    bott = bott_number(m)
+    N, bott, bridge = bott_bridge(m)
     cert = caustic_certificate(m)
     notes: list[str] = []
     contradiction = False
-    if wt >= 3 and smooth.aggregated and dicrit.aggregated and not algebraic:
+    if m.weight >= 3 and smooth.aggregated and dicrit.aggregated and not algebraic:
         contradiction = True
         notes.append("algebraicity criterion violated: dicritical quasi-smooth web "
                      "with nonzero multi-degree - check irreducibility assumption")
     if not cert.nonzero:
         notes.append("caustic class computed to zero - inconsistent with a valid "
                      "complete-intersection web")
-    bridge = bott == wt * N
     if not bridge:
         notes.append("Bott pairing does not equal weight times the closed-form "
                      "obstruction number")
-    return CertificationReport(wt, md, degree(w), algebraic, smooth, dicrit,
+    return CertificationReport(m.weight, multidegree(w), m.degree, algebraic, smooth, dicrit,
                                N, bott, bridge, cert, contradiction, tuple(notes))

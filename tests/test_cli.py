@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,10 +17,12 @@ from webweave.cli import (
     InputError,
     main,
     parse_document,
+    run,
 )
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
 REPORT_DIGESTS = Path(__file__).resolve().parent / "report_digests.json"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 CONIC = {
     "n": 2,
@@ -115,14 +118,33 @@ def test_parse_rejects_booleans_as_integers(doc, match, tmp_path, capsys):
     assert code == EXIT_INPUT and not out and match in err
 
 
-def test_parse_flag_defaults():
-    doc = parse_document(CONIC)
-    assert not doc.asserted_irreducible and not doc.asserted_quasi_smooth
-    doc = parse_document(dict(CONIC, asserted_irreducible=True))
-    assert doc.asserted_irreducible
+def test_assertion_flags_leave_certify_unchanged(tmp_path, capsys):
+    # older documents carry the hypothesis flags; like any other unknown
+    # top-level key they are ignored, so the report is the same (apart
+    # from the path and the digest of the file bytes)
+    flagged = dict(CONIC, asserted_irreducible=True, asserted_quasi_smooth=True)
+    reports = []
+    for name, doc in (("plain.json", CONIC), ("flagged.json", flagged)):
+        code, out, err = run_cli(["certify", write(tmp_path, doc, name)], capsys)
+        assert code == EXIT_OK and not err
+        report = json.loads(out)
+        del report["input"], report["digest"]
+        reports.append(report)
+    assert reports[0] == reports[1]
 
 
 # -- commands ---------------------------------------------------------------
+
+
+def test_unknown_command_is_input_error():
+    with pytest.raises(InputError, match="unknown command"):
+        run("nope", parse_document(CONIC), None, 0)
+
+
+def test_readme_command_table_matches_commands():
+    # the usage table in README lists the commands name for name, in order
+    table = README.read_text(encoding="utf-8").split("| command ", 1)[1].split("\n\n", 1)[0]
+    assert re.findall(r"^\| `([a-z-]+)`", table, re.M) == list(COMMANDS)
 
 
 def test_bidegree_command(tmp_path, capsys):
@@ -245,22 +267,33 @@ def test_reports_are_byte_identical(tmp_path, capsys):
     assert out1 == out2
 
 
-def test_sample_reports_match_recorded_digests(capsys):
+def _without_input(out: str, options: list[str]) -> str:
+    # the "input" field echoes the path given on the command line
+    if not out:
+        return out
+    if "text" in options:
+        return "".join(line for line in out.splitlines(keepends=True)
+                       if not line.startswith("input: "))
+    report = json.loads(out)
+    del report["input"]
+    return json.dumps(report, indent=2)
+
+
+@pytest.mark.parametrize("options", [[], ["--format", "text"], ["--chart", "0,1"]],
+                         ids=["json", "text", "chart-0-1"])
+def test_sample_reports_match_recorded_digests(options, capsys):
     # the reports are the contract: every command on every sample input
-    # must keep its exit code and its stdout byte for byte (the "input"
-    # field echoes the path given on the command line and is left out)
+    # must keep its exit code and its stdout byte for byte, in both
+    # formats and when restricted to one chart
     recorded = json.loads(REPORT_DIGESTS.read_text(encoding="utf-8"))
     seen = {}
     for path in sorted(SAMPLES.glob("*.json")):
         for command in COMMANDS:
-            code, out, _ = run_cli([command, str(path)], capsys)
-            if out:
-                report = json.loads(out)
-                del report["input"]
-                out = json.dumps(report, indent=2)
-            seen[f"{command} {path.name}"] = [
+            code, out, _ = run_cli([command, str(path), *options], capsys)
+            out = _without_input(out, options)
+            seen[" ".join([command, path.name, *options])] = [
                 code, hashlib.sha256(out.encode("utf-8")).hexdigest()]
-    assert seen == recorded
+    assert seen == {key: recorded.get(key) for key in seen}
 
 
 def test_json_report_round_trips(tmp_path, capsys):
