@@ -420,11 +420,11 @@ def _frame_data(source: Chart, nums: Sequence[MultiPoly], den: MultiPoly):
             RatFunc(poly_det(M), adj_den * den2), RatFunc(frame, adj_den))
 
 
-def _chart_maps(c1: Chart, c2: Chart) -> ChartMaps:
-    """Exact rational maps (x', p') in terms of (x, p) between two charts."""
+def _chart_maps(c1: Chart, c2: Chart, sub: Mapping[str, MultiPoly]) -> ChartMaps:
+    """Exact rational maps (x', p') in terms of (x, p) between two charts;
+    ``sub`` is ``c1.substitution()``."""
     if c1.n != c2.n:
         raise UsageError("charts live on different spaces")
-    sub = c1.substitution()
     x_map = tuple((f"x{k}", RatFunc(sub[f"X{k}"], sub[f"X{c2.i}"])) for k in c2.x_indices)
     p_map = tuple((f"p{a}", RatFunc(-sub[f"u{a}"], sub[f"u{c2.j}"])) for a in c2.p_indices)
     return ChartMaps(c1, c2, x_map, p_map)
@@ -433,8 +433,8 @@ def _chart_maps(c1: Chart, c2: Chart) -> ChartMaps:
 def transition(c1: Chart, c2: Chart) -> ChartTransition:
     """The coordinate maps between two charts and the Jacobian package of
     their point-part."""
-    m = _chart_maps(c1, c2)
     sub = c1.substitution()
+    m = _chart_maps(c1, c2, sub)
     frame = _frame_data(c1, [sub[f"X{k}"] for k in c2.slot_indices], sub[f"X{c2.i}"])
     return ChartTransition(c1, c2, m.x_map, m.p_map, *frame)
 
@@ -480,7 +480,7 @@ def covariance_check(S: BiHomogPde, c1: Chart, c2: Chart) -> bool:
     of x_{i'} and of the u_{j'} expression, which generate the covariance
     factor together with a nonzero rational constant).
     """
-    t = _chart_maps(c1, c2)
+    t = _chart_maps(c1, c2, c1.substitution())
     F1 = chart_form(S, c1).poly
     F2 = chart_form(S, c2).poly
     N, D = transport_form(t, F2)
