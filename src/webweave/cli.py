@@ -25,6 +25,11 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_ENGINE = 3
 
+# Largest X- or u-degree of one input term.  Chart substitution expands
+# the forced u-expression to the term's u-degree, so unbounded degrees
+# make even chart-form run without end; sample inputs use at most 3.
+MAX_TERM_DEGREE = 64
+
 
 class InputError(ValueError):
     """Malformed or invalid input document."""
@@ -70,6 +75,9 @@ def _term_to_poly(n: int, terms, which: int) -> MultiPoly:
                 raise InputError(f"{where}: {key} exponent list length must be {n + 1}")
             if not all(_is_int(e) and e >= 0 for e in exps):
                 raise InputError(f"{where}: {key} exponents must be non-negative integers")
+            if sum(exps) > MAX_TERM_DEGREE:
+                raise InputError(f"{where}: {key}-degree {sum(exps)} exceeds "
+                                 f"the limit {MAX_TERM_DEGREE}")
         exps = tuple(term["X"]) + tuple(term["u"])
         acc[exps] = acc.get(exps, Fraction(0)) + Fraction(c[0], c[1])
     return MultiPoly(table, acc)

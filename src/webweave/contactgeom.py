@@ -15,6 +15,7 @@ duality at the level of equations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -138,7 +139,7 @@ class Chart:
         if not (0 <= self.i <= self.n and 0 <= self.j <= self.n and self.i != self.j):
             raise UsageError(f"invalid chart ({self.i},{self.j}) for n={self.n}")
 
-    @property
+    @cached_property
     def table(self) -> VarTable:
         return VarTable.chart(self.n, self.i, self.j)
 
@@ -457,17 +458,12 @@ def transport_form(t: ChartMaps, form: "ChartForm | MultiPoly") -> tuple[MultiPo
 
 
 def _peel(f: MultiPoly, factors: Sequence[MultiPoly]) -> MultiPoly:
-    """Divide f by the highest power of each unit that divides it exactly."""
+    """Divide f by the highest power of each unit that divides it exactly.
+
+    The units must be non-constant: a constant divides every power of f.
+    """
     for a in factors:
-        if len(a.terms) == 1:
-            # a monomial unit: its power is read off the exponents in one step
-            ((ae, ac),) = a.terms.items()
-            k = min((e[v] // ae[v] for e in f.terms for v in range(len(ae)) if ae[v]),
-                    default=0)
-            f = MultiPoly(f.vars, {tuple(x - k * y for x, y in zip(e, ae)): c / ac**k
-                                   for e, c in f.terms.items()})
-            continue
-        while (q := exact_divide(f, a)) is not None:
+        while q := exact_divide(f, a):
             f = q
     return f
 

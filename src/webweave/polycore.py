@@ -442,13 +442,27 @@ def scalar_equal(f: MultiPoly, g: MultiPoly) -> bool:
 
 
 def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly | None:
-    """Quotient f/g when g divides f exactly, else None."""
+    """Quotient f/g when g divides f exactly, else None.
+
+    A monomial g = c*x^m divides f iff m is at most every exponent vector
+    of f componentwise; the quotient then shifts each term of f by m and
+    divides its coefficient by c, with no long division.
+    """
     if not g:
         raise UsageError("division by the zero polynomial")
     if not f:
         return MultiPoly.zero(f.vars)
     if f.vars != g.vars:
         raise UsageError("operands live over different variable tables")
+    if len(g.terms) == 1:
+        ((ge, gc),) = g.terms.items()
+        shifted: dict[tuple[int, ...], Fraction] = {}
+        for e, c in f.terms.items():
+            qe = tuple(a - b for a, b in zip(e, ge))
+            if min(qe) < 0:
+                return None
+            shifted[qe] = c / gc
+        return MultiPoly(f.vars, shifted)
     ge, gc = g.leading()
     quot: dict[tuple[int, ...], Fraction] = {}
     rem = f
@@ -663,6 +677,10 @@ def _gcd_pair(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         return f
     if f.is_constant() or g.is_constant():
         return MultiPoly.const(f.vars, 1)
+    if len(f.terms) == 1 or len(g.terms) == 1:
+        # the divisors of a monomial are monomials, and x^m divides a
+        # polynomial iff m is at most each of its exponent vectors
+        return MultiPoly.monomial(f.vars, tuple(map(min, *f.terms, *g.terms)))
     used = sorted(f.vars.index(n) for n in f.variables_used() | g.variables_used())
     v = f.vars.names[used[-1]]
     if f.degree_in(v) == 0:
@@ -693,7 +711,13 @@ def _gcd_pair(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 
 
 def multivar_gcd(fs: Iterable[MultiPoly]) -> MultiPoly:
-    """A gcd of the inputs, integer-primitive with positive leading coefficient."""
+    """A gcd of the inputs, integer-primitive with positive leading coefficient.
+
+    Pairs are reduced by the recursive primitive PRS, except that a pair
+    with a constant operand has gcd 1 and a pair with a monomial operand
+    has the monomial whose exponents are the componentwise minimum over
+    both supports (exact, since every divisor of a monomial is one).
+    """
     fs = [f for f in fs if f]
     if not fs:
         raise UsageError("gcd of all-zero inputs")

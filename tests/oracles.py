@@ -53,3 +53,15 @@ def macaulay_member(f, gens, start=None, margin=6):
         if macaulay_certificate(f, gens, bound):
             return True
     return False
+
+
+def to_sympy(sympy, f, syms):
+    """f as a sympy expression in ``syms`` (one symbol per table variable)."""
+    return sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*(s**k for s, k in zip(syms, e)))
+                for e, c in f.terms.items()), sympy.Integer(0))
+
+
+def from_sympy(sympy, p, table):
+    """A sympy ``Poly`` in the table's variables, as a MultiPoly."""
+    return MultiPoly(table, {tuple(m): Fraction(str(sympy.Rational(c))) for m, c in p.terms()})

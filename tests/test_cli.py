@@ -14,6 +14,7 @@ from webweave.cli import (
     EXIT_ENGINE,
     EXIT_INPUT,
     EXIT_OK,
+    MAX_TERM_DEGREE,
     InputError,
     main,
     parse_document,
@@ -116,6 +117,24 @@ def test_parse_rejects_booleans_as_integers(doc, match, tmp_path, capsys):
         parse_document(doc)
     code, out, err = run_cli(["bidegree", write(tmp_path, doc)], capsys)
     assert code == EXIT_INPUT and not out and match in err
+
+
+def test_parse_rejects_degrees_over_the_limit(tmp_path, capsys):
+    # u^3000 made chart-form expand the forced u-expression to that power
+    # and run for more than 15 s; it is now an input error
+    huge = {"n": 2, "pdes": [[_term(X=(0, 0, 0), u=u) for u in
+                              ((3000, 0, 0), (0, 3000, 0), (0, 0, 3000))]]}
+    with pytest.raises(InputError, match="pde 0, term 0: u-degree 3000 exceeds"):
+        parse_document(huge)
+    code, out, err = run_cli(["chart-form", write(tmp_path, huge), "--chart", "1,2"], capsys)
+    assert code == EXIT_INPUT and not out and "u-degree 3000" in err
+    top = MAX_TERM_DEGREE
+    with pytest.raises(InputError, match="pde 0, term 1: X-degree"):
+        parse_document({"n": 2, "pdes": [[_term(X=(1, 0, 0), u=(0, 1, 0)),
+                                          _term(X=(0, top, 1), u=(0, 0, 1))]]})
+    at_limit = parse_document({"n": 2, "pdes": [[_term(X=(top, 0, 0), u=(0, top, 0)),
+                                                 _term(X=(0, top, 0), u=(0, 0, top))]]})
+    assert at_limit.pdes[0].bidegree == (top, top)
 
 
 def test_assertion_flags_leave_certify_unchanged(tmp_path, capsys):

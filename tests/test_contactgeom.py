@@ -311,21 +311,23 @@ def test_covariance_all_pairs_corpus():
             assert covariance_check(S, c1, c2), (S.poly.to_string(), c1, c2)
 
 
-def _peel_by_division(f, factors):
-    """Reference: strip each unit one power at a time by exact division."""
-    for a in factors:
-        while (q := exact_divide(f, a)) is not None:
-            f = q
-    return f
+def _unit_powers_cofactor(f, peeled, x_unit, u_unit):
+    """Some (k, l) with f = c * peeled * x_unit^k * u_unit^l for a rational
+    c != 0, found by trying every power the degrees allow, else None."""
+    top = f.total_degree()
+    for k in range(top + 1):
+        for l in range(top // u_unit.total_degree() + 1):
+            if scalar_equal(f, peeled * x_unit ** k * u_unit ** l):
+                return k, l
+    return None
 
 
-def test_peel_matches_repeated_division():
+def test_peel_strips_unit_powers():
     rng = random.Random(77)
     units = [transition(c1, c2).overlap_factors()
              for c1, c2 in itertools.product(standard_atlas(3), repeat=2)
              if c1.i != c2.i and c1.j != c2.j]
-    # x_{i'} is a monomial; keep pairs whose u_{j'} expression is not, so
-    # both branches of _peel run
+    # x_{i'} is a monomial; keep pairs whose u_{j'} expression is not
     units = [u for u in units if len(u[1].terms) > 1]
     for x_unit, u_unit in rng.sample(units, 12):
         table = x_unit.vars
@@ -335,7 +337,9 @@ def test_peel_matches_repeated_division():
                                   for _ in range(rng.randint(1, 4))})
             f = g * x_unit ** rng.randint(0, 3) * u_unit ** rng.randint(0, 2)
             for factors in ([x_unit, u_unit], [Fraction(3, 2) * x_unit, u_unit]):
-                assert _peel(f, factors) == _peel_by_division(f, factors)
+                peeled = _peel(f, factors)
+                assert all(exact_divide(peeled, a) is None for a in factors)
+                assert _unit_powers_cofactor(f, peeled, x_unit, u_unit) is not None
 
 
 def test_covariance_negative_control():

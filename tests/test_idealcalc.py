@@ -2,15 +2,14 @@
 
 import itertools
 import random
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from oracles import macaulay_certificate, macaulay_member
-from webweave import idealcalc
+from oracles import from_sympy, macaulay_certificate, macaulay_member, to_sympy
+from webweave import idealcalc, polycore
 from webweave.cli import parse_input
-from webweave.contactgeom import standard_atlas
+from webweave.contactgeom import standard_atlas, transition
 from webweave.idealcalc import (
     GREVLEX,
     LEX,
@@ -213,12 +212,8 @@ def _sympy_basis(sympy, gens, order):
     """Reduced basis from sympy.groebner, converted back to MultiPoly."""
     table = gens[0].vars
     syms = sympy.symbols(table.names)
-    exprs = [sum(sympy.Rational(c.numerator, c.denominator)
-                 * sympy.Mul(*(s**k for s, k in zip(syms, e)))
-                 for e, c in g.terms.items()) for g in gens]
-    gb = sympy.groebner(exprs, *syms, order=order, field=True)
-    return [MultiPoly(table, {tuple(m): Fraction(str(sympy.Rational(c))) for m, c in p.terms()})
-            for p in gb.polys]
+    gb = sympy.groebner([to_sympy(sympy, g, syms) for g in gens], *syms, order=order, field=True)
+    return [from_sympy(sympy, p, table) for p in gb.polys]
 
 
 def _assert_same_basis(ours, theirs):
@@ -280,3 +275,26 @@ def test_pair_criteria_skip_most_pairs(monkeypatch):
         if not data.degenerate:
             assert data.critical_basis is not None
     assert 0 < calls <= 600
+
+
+def test_transitions_skip_pseudo_remainders(monkeypatch):
+    """Chart transitions reduce RatFuncs over powers of one variable.
+
+    Their gcds have a constant or monomial operand at every level, so the
+    closed-form monomial gcd answers them without the primitive PRS; with
+    the PRS alone, the 132 n = 3 transitions made 1,092 pseudo-remainders.
+    """
+    calls = 0
+    pseudo_rem = polycore._pseudo_rem
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return pseudo_rem(*args)
+
+    monkeypatch.setattr(polycore, "_pseudo_rem", counting)
+    pairs = [(c1, c2) for c1, c2 in itertools.product(standard_atlas(3), repeat=2) if c1 != c2]
+    assert len(pairs) == 132
+    for c1, c2 in pairs:
+        transition(c1, c2)
+    assert calls == 0

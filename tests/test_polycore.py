@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import from_sympy, to_sympy
 from webweave.idealcalc import ideal_member
 from webweave.polycore import (
     MultiPoly,
@@ -285,6 +286,56 @@ def test_gcd_divides_inputs():
         assert exact_divide(f, got) is not None
         assert exact_divide(g, got) is not None
         assert exact_divide(got, base) is not None  # common factor recovered
+
+
+def _sympy_poly(sympy, f, syms):
+    return sympy.Poly(to_sympy(sympy, f, syms), *syms, domain="QQ")
+
+
+def _rand_monomial(rng, coeff=1):
+    return MultiPoly.monomial(T, [rng.randint(0, 2) for _ in T.names], coeff)
+
+
+def test_gcd_with_monomial_operand_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols(T.names)
+    rng = random.Random(29)
+    for k in range(30):
+        f = rand_poly(rng, max_terms=4, max_exp=3)
+        if not f:
+            continue
+        f = f * _rand_monomial(rng)  # often a nontrivial monomial gcd
+        m = _rand_monomial(rng, Fraction(-3, 2) if k % 2 else 1)
+        want = from_sympy(sympy, sympy.gcd(_sympy_poly(sympy, f, syms),
+                                           _sympy_poly(sympy, m, syms)), T)
+        for pair in ([f, m], [m, f]):
+            got = multivar_gcd(pair)
+            assert scalar_equal(got, want), (f, m, got, want)
+            assert len(got.terms) == 1 and got.leading()[1] == 1
+        for c in (MultiPoly.const(T, 5), MultiPoly.const(T, Fraction(-2, 7))):
+            assert multivar_gcd([f, c]) == 1
+            assert multivar_gcd([c, f]) == 1
+
+
+def test_exact_divide_by_monomial_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols(T.names)
+    rng = random.Random(31)
+    outcomes = set()
+    for k in range(40):
+        h = rand_poly(rng, max_terms=4, max_exp=2)
+        if not h:
+            continue
+        m = _rand_monomial(rng, Fraction(3, 2) if k % 3 else -2)
+        f = h * m if k % 2 else h
+        q, r = sympy.div(_sympy_poly(sympy, f, syms), _sympy_poly(sympy, m, syms))
+        got = exact_divide(f, m)
+        if r.is_zero:
+            assert got == from_sympy(sympy, q, T)
+        else:
+            assert got is None
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
 
 
 def test_integer_primitive_normalization():
