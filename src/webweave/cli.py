@@ -30,6 +30,11 @@ EXIT_ENGINE = 3
 # make even chart-form run without end; sample inputs use at most 3.
 MAX_TERM_DEGREE = 64
 
+# Largest dimension n.  Parsing builds the 2n + 2 variable table and every
+# command works over it, so a huge n exhausts memory before any other
+# check; sample inputs use at most n = 3.
+MAX_DIMENSION = 12
+
 
 class InputError(ValueError):
     """Malformed or invalid input document."""
@@ -89,6 +94,8 @@ def parse_document(data) -> InputDocument:
     n = data.get("n")
     if not _is_int(n) or n < 2:
         raise InputError("field 'n' must be an integer >= 2")
+    if n > MAX_DIMENSION:
+        raise InputError(f"field 'n' exceeds the limit {MAX_DIMENSION}")
     raw_pdes = data.get("pdes")
     if not isinstance(raw_pdes, list) or not raw_pdes:
         raise InputError("field 'pdes' must be a non-empty list of term lists")
@@ -112,7 +119,10 @@ def parse_input(path: str) -> tuple[InputDocument, str]:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
         data = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # besides bad UTF-8 and JSON syntax: a plain ValueError for an
+        # integer literal past the interpreter's digit limit, and
+        # RecursionError for arrays or objects nested too deeply
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
     return parse_document(data), hashlib.sha256(blob).hexdigest()
 

@@ -162,8 +162,8 @@ class Chart:
     def p(self, k: int) -> MultiPoly:
         return MultiPoly.var(self.table, f"p{k}")
 
-    def u_values(self) -> dict[int, MultiPoly]:
-        """Homogeneous u's evaluated in this chart's normalization."""
+    @cached_property
+    def _u_values(self) -> dict[int, MultiPoly]:
         vals = {self.j: MultiPoly.const(self.table, -1)}
         for a in self.p_indices:
             vals[a] = self.p(a)
@@ -173,13 +173,23 @@ class Chart:
         vals[self.i] = forced
         return vals
 
-    def substitution(self) -> dict[str, MultiPoly]:
+    @cached_property
+    def _substitution(self) -> dict[str, MultiPoly]:
         sub: dict[str, MultiPoly] = {f"X{self.i}": MultiPoly.const(self.table, 1)}
         for k in self.x_indices:
             sub[f"X{k}"] = self.x(k)
-        for k, val in self.u_values().items():
+        for k, val in self._u_values.items():
             sub[f"u{k}"] = val
         return sub
+
+    # Both are built once per chart; each call hands out a fresh dict, so
+    # no caller can change the cached one (the polynomials are immutable).
+    def u_values(self) -> dict[int, MultiPoly]:
+        """Homogeneous u's evaluated in this chart's normalization."""
+        return dict(self._u_values)
+
+    def substitution(self) -> dict[str, MultiPoly]:
+        return dict(self._substitution)
 
 
 def standard_atlas(n: int) -> tuple[Chart, ...]:

@@ -649,6 +649,85 @@ def resultant(f: MultiPoly, g: MultiPoly, v: str) -> MultiPoly:
 # -- multivariate gcd (primitive PRS) ----------------------------------
 
 
+# Evaluation points of the coprimality certificate: variable k takes the
+# value _EVAL_PRIMES[k % 16] + shift, one shift after another until the
+# image keeps its degree.  Any point is sound; these only make a lucky
+# one likely.
+_EVAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+_EVAL_SHIFTS = (0, 1, 3)
+
+
+def _eval_point(width: int, shift: int) -> tuple[int, ...]:
+    return tuple(_EVAL_PRIMES[k % len(_EVAL_PRIMES)] + shift for k in range(width))
+
+
+def _trim(coeffs: list[Fraction]) -> list[Fraction]:
+    """Drop leading zero coefficients; the zero polynomial stays [0]."""
+    while len(coeffs) > 1 and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def _image_in(f: MultiPoly, w: int, point: Sequence[int]) -> list[Fraction]:
+    """Coefficients of f in variable w, lowest first, the others set to point."""
+    coeffs = [Fraction(0)] * (max(e[w] for e in f.terms) + 1)
+    for e, c in f.terms.items():
+        scale = 1
+        for k, x in enumerate(e):
+            if x and k != w:
+                scale *= point[k] ** x
+        coeffs[e[w]] += c * scale
+    return _trim(coeffs)
+
+
+def _univariate_gcd_degree(a: list[Fraction], b: list[Fraction]) -> int:
+    """Degree of gcd(a, b) in Q[w]: Euclid on trimmed dense lists, a nonzero."""
+    while b[-1]:
+        if len(b) == 1:
+            return 0
+        a = a[:]
+        lead = b[-1]
+        for top in range(len(a) - 1, len(b) - 2, -1):
+            q = a[top] / lead
+            if q:
+                shift = top - len(b) + 1
+                for k, c in enumerate(b):
+                    a[shift + k] -= q * c
+        a, b = b, _trim(a[:len(b) - 1])
+    return len(a) - 1
+
+
+def _coprime_by_evaluation(f: MultiPoly, g: MultiPoly) -> bool:
+    """True only if gcd(f, g) is constant; False proves nothing.
+
+    Let h = gcd(f, g) have positive degree in a variable w, and set the
+    other variables to a point where f's leading coefficient in w does not
+    vanish.  That coefficient is a multiple of h's, so h's image keeps its
+    w-degree and divides both images in Q[w]; a constant univariate gcd of
+    the images therefore proves h free of w.  A common factor can only
+    involve variables that occur in both f and g, so checking each of them
+    proves h constant.  A point where the leading coefficient vanishes is
+    never used, and an image gcd of positive degree (a common factor, or
+    an unlucky point) returns False.
+    """
+    width = len(f.vars.names)
+    f_deg = [max(col) for col in zip(*f.terms)]
+    g_deg = [max(col) for col in zip(*g.terms)]
+    points = [_eval_point(width, shift) for shift in _EVAL_SHIFTS]
+    for w in range(width):
+        if not (f_deg[w] and g_deg[w]):
+            continue
+        for point in points:
+            f_image = _image_in(f, w, point)
+            if len(f_image) == f_deg[w] + 1:
+                break
+        else:
+            return False
+        if _univariate_gcd_degree(f_image, _image_in(g, w, point)):
+            return False
+    return True
+
+
 def _pseudo_rem(a: MultiPoly, b: MultiPoly, v: str) -> MultiPoly:
     """Pseudo-remainder of a by b with respect to v (deg_v b >= 1)."""
     db = b.degree_in(v)
@@ -681,6 +760,8 @@ def _gcd_pair(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         # the divisors of a monomial are monomials, and x^m divides a
         # polynomial iff m is at most each of its exponent vectors
         return MultiPoly.monomial(f.vars, tuple(map(min, *f.terms, *g.terms)))
+    if _coprime_by_evaluation(f, g):
+        return MultiPoly.const(f.vars, 1)
     used = sorted(f.vars.index(n) for n in f.variables_used() | g.variables_used())
     v = f.vars.names[used[-1]]
     if f.degree_in(v) == 0:
@@ -714,9 +795,14 @@ def multivar_gcd(fs: Iterable[MultiPoly]) -> MultiPoly:
     """A gcd of the inputs, integer-primitive with positive leading coefficient.
 
     Pairs are reduced by the recursive primitive PRS, except that a pair
-    with a constant operand has gcd 1 and a pair with a monomial operand
+    with a constant operand has gcd 1, a pair with a monomial operand
     has the monomial whose exponents are the componentwise minimum over
-    both supports (exact, since every divisor of a monomial is one).
+    both supports (exact, since every divisor of a monomial is one), and
+    a pair with an exact coprimality certificate has gcd 1.  The
+    certificate evaluates both operands at integer points that keep the
+    first one's degree in each shared variable and finds the univariate
+    gcds constant; it only ever proves coprimality, and a pair it cannot
+    certify goes through the PRS, so the result is the same either way.
     """
     fs = [f for f in fs if f]
     if not fs:

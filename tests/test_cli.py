@@ -1,6 +1,8 @@
 """Input validation, command dispatch, report determinism, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import re
 import subprocess
@@ -8,12 +10,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from webweave.cli import (
     COMMANDS,
     EXIT_ENGINE,
     EXIT_INPUT,
     EXIT_OK,
+    MAX_DIMENSION,
     MAX_TERM_DEGREE,
     InputError,
     main,
@@ -135,6 +140,23 @@ def test_parse_rejects_degrees_over_the_limit(tmp_path, capsys):
     at_limit = parse_document({"n": 2, "pdes": [[_term(X=(top, 0, 0), u=(0, top, 0)),
                                                  _term(X=(0, top, 0), u=(0, 0, top))]]})
     assert at_limit.pdes[0].bidegree == (top, top)
+
+
+def test_parse_rejects_dimension_over_the_limit(tmp_path, capsys):
+    # parsing built the 2n + 2 variable table first, so this n ran out of
+    # memory with a traceback
+    huge = {"n": 10**30, "pdes": [[_term(X=(1, 0, 0), u=(1, 0, 2))]]}
+    with pytest.raises(InputError, match=f"field 'n' exceeds the limit {MAX_DIMENSION}"):
+        parse_document(huge)
+    code, out, err = run_cli(["bidegree", write(tmp_path, huge)], capsys)
+    assert code == EXIT_INPUT and not out
+    assert f"error: field 'n' exceeds the limit {MAX_DIMENSION}" in err
+    with pytest.raises(InputError, match="exceeds the limit"):
+        parse_document({"n": MAX_DIMENSION + 1, "pdes": [[_term()]]})
+    top = MAX_DIMENSION
+    at_limit = parse_document({"n": top, "pdes": [[
+        _term(X=(0,) * (top + 1), u=(1, 1) + (0,) * (top - 1))]]})
+    assert at_limit.pdes[0].bidegree == (0, 2)
 
 
 def test_assertion_flags_leave_certify_unchanged(tmp_path, capsys):
@@ -338,9 +360,15 @@ def test_missing_file_is_input_error(capsys):
 
 def test_malformed_json_is_input_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text("{not json", encoding="utf-8")
-    code, _, err = run_cli(["bidegree", str(path)], capsys)
-    assert code == EXIT_INPUT and "malformed JSON" in err
+    # bad syntax; an integer past the interpreter's digit limit and deep
+    # nesting, which json.loads reports as ValueError and RecursionError
+    # (an interpreter without the digit limit parses the integer, and the
+    # document fails as an n over the limit instead)
+    for text in ("{not json", '{"n": ' + "1" * 5000 + "}", "[" * 100_000 + "]" * 100_000):
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(["bidegree", str(path)], capsys)
+        assert code == EXIT_INPUT and not out and err.startswith("error: ")
+        assert "malformed JSON" in err or not hasattr(sys, "get_int_max_str_digits")
 
 
 def test_wrong_pde_count_for_web_command(tmp_path, capsys):
@@ -380,3 +408,73 @@ def test_console_script_runs(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == EXIT_OK
     assert json.loads(proc.stdout)["weight"] == 2
+
+
+# -- fuzzing ---------------------------------------------------------------
+
+# Commands whose cost stays small at n = 3; at n = 2 every command is cheap.
+CHEAP_COMMANDS = ("bidegree", "chart-form", "dual", "algebraic", "chern", "bott",
+                  "linearizable")
+JUNK = (None, True, False, 0, -1, 1, 2.0, 2.5, "2", [], {}, MAX_DIMENSION + 1, 10**30)
+
+
+@st.composite
+def fuzz_cases(draw):
+    """A command, a format and a small document with at most one field broken.
+
+    Terms of one equation share a drawn bi-degree (at most 2 in X and in
+    u), so unbroken documents usually parse and reach the command.
+    """
+    n = draw(st.sampled_from((2, 3)))
+
+    def exponents(degree):
+        slots = draw(st.lists(st.integers(0, n), min_size=degree, max_size=degree))
+        return [slots.count(k) for k in range(n + 1)]
+
+    pdes = []
+    # web commands need n - 1 equations; other counts test the rejection
+    for _ in range(draw(st.sampled_from((n - 1, n - 1, n - 1, 1, n)))):
+        dX, du = draw(st.integers(0, 2)), draw(st.integers(1, 2))
+        pdes.append([{"c": [draw(st.sampled_from((1, -1, 2, -3))),
+                            draw(st.sampled_from((1, 2, 3, -1)))],
+                      "X": exponents(dX), "u": exponents(du)}
+                     for _ in range(draw(st.integers(1, 3)))])
+    doc = {"n": n, "pdes": pdes}
+    command = draw(st.sampled_from(COMMANDS if n == 2 else CHEAP_COMMANDS))
+    fmt = draw(st.sampled_from(("json", "text")))
+    broken = draw(st.sampled_from(("none",) * 5 + ("n", "field", "missing", "pdes", "top")))
+    if broken == "n":
+        doc["n"] = draw(st.sampled_from(JUNK))
+    elif broken == "field":
+        term = draw(st.sampled_from([t for terms in pdes for t in terms]))
+        term[draw(st.sampled_from(("c", "X", "u")))] = draw(
+            st.sampled_from(JUNK + ([0] * (n + 2), [1], [1, 0], [1.5, 1])))
+    elif broken == "missing":
+        del draw(st.sampled_from([t for terms in pdes for t in terms]))[
+            draw(st.sampled_from(("c", "X", "u")))]
+    elif broken == "pdes":
+        doc["pdes"] = draw(st.sampled_from(JUNK))
+    elif broken == "top":
+        doc = [doc]
+    return doc, command, fmt
+
+
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@example(case=({"n": 10**30, "pdes": [[{"c": [1, 1], "X": [1, 0, 0], "u": [1, 0, 2]}]]},
+               "bidegree", "json"))
+@given(case=fuzz_cases())
+def test_cli_fuzz_exits_cleanly(tmp_path_factory, case):
+    # every document ends with a report (0), an input error (2) or an
+    # engine limit (3), and an error always says why on stderr
+    doc, command, fmt = case
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, str(path), "--format", fmt])
+    assert code in (EXIT_OK, EXIT_INPUT, EXIT_ENGINE), case
+    if code == EXIT_OK:
+        assert out.getvalue() and not err.getvalue()
+    else:
+        assert err.getvalue().startswith("error: "), case

@@ -92,6 +92,21 @@ def test_chart_form_p_degree_bounded():
             assert F.group_degree("p") <= S.bidegree[1]
 
 
+def test_chart_substitution_is_a_fresh_copy():
+    # both maps are built once per chart; a caller that edits the dict it
+    # got must not change what the next caller gets
+    c = Chart(3, 1, 2)
+    sub, u = c.substitution(), c.u_values()
+    forced = c.x(2) - c.p(0) * c.x(0) - c.p(3) * c.x(3)
+    assert u == {2: -1, 0: c.p(0), 3: c.p(3), 1: forced}
+    assert sub == {"X1": 1, "X0": c.x(0), "X2": c.x(2), "X3": c.x(3),
+                   **{f"u{k}": v for k, v in u.items()}}
+    sub.clear()
+    u[1] = c.p(0)
+    assert c.substitution()["u1"] == c.u_values()[1] == forced
+    assert c == Chart(3, 1, 2) and hash(c) == hash(Chart(3, 1, 2))
+
+
 # -- homogenization ---------------------------------------------------------
 
 

@@ -277,6 +277,19 @@ def test_pair_criteria_skip_most_pairs(monkeypatch):
     assert 0 < calls <= 600
 
 
+def _count_pseudo_remainders(monkeypatch) -> list[int]:
+    """A one-element list that counts the primitive PRS's pseudo-remainders."""
+    calls = [0]
+    pseudo_rem = polycore._pseudo_rem
+
+    def counting(*args):
+        calls[0] += 1
+        return pseudo_rem(*args)
+
+    monkeypatch.setattr(polycore, "_pseudo_rem", counting)
+    return calls
+
+
 def test_transitions_skip_pseudo_remainders(monkeypatch):
     """Chart transitions reduce RatFuncs over powers of one variable.
 
@@ -284,17 +297,24 @@ def test_transitions_skip_pseudo_remainders(monkeypatch):
     closed-form monomial gcd answers them without the primitive PRS; with
     the PRS alone, the 132 n = 3 transitions made 1,092 pseudo-remainders.
     """
-    calls = 0
-    pseudo_rem = polycore._pseudo_rem
-
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return pseudo_rem(*args)
-
-    monkeypatch.setattr(polycore, "_pseudo_rem", counting)
+    calls = _count_pseudo_remainders(monkeypatch)
     pairs = [(c1, c2) for c1, c2 in itertools.product(standard_atlas(3), repeat=2) if c1 != c2]
     assert len(pairs) == 132
     for c1, c2 in pairs:
         transition(c1, c2)
-    assert calls == 0
+    assert calls == [0]
+
+
+def test_input_warnings_skip_pseudo_remainders(monkeypatch):
+    """The warning gcds of the sample webs are all certified coprime.
+
+    Each warning asks whether a gcd is constant; on the samples it always
+    is, and the evaluation certificate proves it without the primitive
+    PRS, which made 277 pseudo-remainders here (30, 23, 88 and 136).
+    """
+    calls = _count_pseudo_remainders(monkeypatch)
+    for path in sorted(SAMPLES.glob("*.json")):
+        w = parse_input(str(path))[0].web()
+        for chart in standard_atlas(w.n):
+            assert chart_web_data(w, chart).warnings == ()
+    assert calls == [0]

@@ -25,6 +25,7 @@ from webweave.polycore import (
     scalar_equal,
     substitute,
 )
+from webweave.polycore import _EVAL_SHIFTS, _coprime_by_evaluation, _eval_point
 
 T = VarTable.chart(2, 0, 2)
 X1, X2, P1 = (MultiPoly.var(T, n) for n in ("x1", "x2", "p1"))
@@ -336,6 +337,55 @@ def test_exact_divide_by_monomial_matches_sympy():
             assert got is None
         outcomes.add(got is None)
     assert outcomes == {True, False}
+
+
+def _multi_term_poly(rng, table, **kw):
+    while len((f := rand_poly(rng, table, **kw)).terms) < 2:
+        pass
+    return f
+
+
+@pytest.mark.parametrize("table, max_exp", [(T, 2), (VarTable.chart(3, 0, 1), 1)],
+                         ids=["3vars", "5vars"])
+def test_coprimality_certificate_matches_sympy(table, max_exp):
+    # random pairs are mostly coprime; h * a and h * b plant a multi-term
+    # common factor, which the certificate must never call coprime
+    sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols(table.names)
+    rng = random.Random(37)
+    certified = 0
+    for k in range(60):
+        f, g = (_multi_term_poly(rng, table, max_terms=4, max_exp=max_exp) for _ in range(2))
+        if k % 2:
+            h = _multi_term_poly(rng, table, max_terms=3, max_exp=1)
+            f, g = h * f, h * g
+        want = from_sympy(sympy, sympy.gcd(_sympy_poly(sympy, f, syms),
+                                           _sympy_poly(sympy, g, syms)), table)
+        assert scalar_equal(multivar_gcd([f, g]), want), (f, g, want)
+        if k % 2:
+            assert not want.is_constant()
+        if _coprime_by_evaluation(f, g):
+            assert want.is_constant(), (f, g, want)
+            certified += 1
+    assert certified >= 15
+
+
+def test_coprimality_certificate_falls_back():
+    # points where f's leading coefficient vanishes are skipped, and a
+    # shared root at the point means "no proof", not "common factor"
+    first = _eval_point(len(T.names), _EVAL_SHIFTS[0])
+    x2_values = [_eval_point(len(T.names), s)[1] for s in _EVAL_SHIFTS]
+    unlucky_first = (X2 - first[1]) * X1 + 1
+    assert _coprime_by_evaluation(unlucky_first, X1 + X2)
+    unlucky_all = MultiPoly.const(T, 1)
+    for a in x2_values:
+        unlucky_all = unlucky_all * (X2 - a)
+    unlucky_all = unlucky_all * X1 + 1
+    shared_root = (X1 - X2, X1 + X2 - 2 * first[1])
+    for f, g in ((unlucky_all, X1 + X2), shared_root):
+        assert not _coprime_by_evaluation(f, g)
+        assert multivar_gcd([f, g]) == 1
+        assert multivar_gcd([g, f]) == 1
 
 
 def test_integer_primitive_normalization():
