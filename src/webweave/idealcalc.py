@@ -11,21 +11,32 @@ chain B, and M/F on each new element's pairs) before reducing them, and
 stops with the unit basis ``(1)`` as soon as a nonzero constant appears,
 which is what ``is_trivial_ideal`` asks.  The pair cap counts only the
 S-polynomial reductions actually performed.
+
+Inside completion and division, polynomials are raw term dicts with
+integer coefficients: every intermediate is integer-primitive, and
+division is fraction-free, taking the leading work term from a heap
+keyed by the negated flat order key (Monagan & Pearce, "Sparse
+polynomial division using a heap", JSC 46, 2011).  ``MultiPoly`` values
+with ``Fraction`` coefficients appear only at the public boundary.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le, sub
 
 from .polycore import (
     MultiPoly,
     UsageError,
     VarTable,
     _grevlex_key,
-    integer_primitive,
+    _heap_key,
+    _integer_terms,
+    _subtract_shifted,
 )
 
 DEFAULT_PAIR_CAP = 10_000
@@ -42,21 +53,23 @@ class MonomialOrder:
     kind 'grevlex' and 'lex' need no extra data; kind 'block' carries the
     index partition (eliminated group compared first, grevlex within each
     block), which makes it an elimination order for the first group.
+    ``key`` is a flat tuple of integers, compared lexicographically.
     """
 
     kind: str
     elim: tuple[int, ...] = ()
     keep: tuple[int, ...] = ()
 
-    def key(self, exps: tuple[int, ...]):
+    def key(self, exps: tuple[int, ...]) -> tuple[int, ...]:
         if self.kind == "grevlex":
             return _grevlex_key(exps)
         if self.kind == "lex":
             return exps
         if self.kind == "block":
-            left = tuple(exps[k] for k in self.elim)
-            right = tuple(exps[k] for k in self.keep)
-            return (_grevlex_key(left), _grevlex_key(right))
+            # both grevlex keys have fixed lengths, so comparing the
+            # concatenation compares the eliminated block first
+            return (*_grevlex_key([exps[k] for k in self.elim]),
+                    *_grevlex_key([exps[k] for k in self.keep]))
         raise UsageError(f"unknown monomial order kind {self.kind!r}")
 
 
@@ -90,58 +103,97 @@ class IdealBasis:
         return len(self.generators)
 
 
-def _leading(f: MultiPoly, order: MonomialOrder):
-    return f.leading(order.key)
-
-
 def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
-def _monic(f: MultiPoly, order: MonomialOrder) -> MultiPoly:
-    _, c = _leading(f, order)
-    return f if c == 1 else MultiPoly(f.vars, {e: v / c for e, v in f.terms.items()})
+def _element(terms: dict, key) -> tuple:
+    """(leading monomial, leading coefficient, tail items) of a term dict,
+    negated where needed so that the leading coefficient is positive."""
+    lead = max(terms, key=key)
+    if terms[lead] < 0:
+        terms = {e: -c for e, c in terms.items()}
+    return lead, terms[lead], tuple((e, c) for e, c in terms.items() if e != lead)
 
 
-def _divisor_data(gens, order):
-    out = []
-    for g in gens:
-        ge, gc = _leading(g, order)
-        out.append((g.terms, ge, gc))
-    return out
+def _primitive_element(terms: dict) -> tuple:
+    """The element of a nonzero integer remainder (``_reduce`` output),
+    divided by its content and sign so the leading coefficient is positive."""
+    g = math.gcd(*(c for _, c in terms))
+    if terms[0][1] < 0:
+        g = -g
+    if g != 1:
+        terms = [(e, c // g) for e, c in terms]
+    return terms[0][0], terms[0][1], tuple(terms[1:])
 
 
-def _reduce_terms(fterms, divisors, key):
-    """Division remainder on raw term dicts (the engine's hot loop)."""
-    work = dict(fterms)
-    remainder: dict[tuple[int, ...], Fraction] = {}
-    while work:
-        we = max(work, key=key)
-        wc = work.pop(we)
-        for gterms, ge, gc in divisors:
-            if _divides(ge, we):
-                ratio = wc / gc
-                shift = tuple(a - b for a, b in zip(we, ge))
-                for e2, c2 in gterms.items():
-                    if e2 == ge:
-                        continue
-                    tgt = tuple(x + y for x, y in zip(e2, shift))
-                    s = work.get(tgt, 0) - ratio * c2
-                    if s:
-                        work[tgt] = s
-                    else:
-                        work.pop(tgt, None)
+def _reduce(work: dict, divisors, key) -> tuple[list, int]:
+    """Fraction-free remainder of an integer term dict (consumed).
+
+    The leading work term comes off a heap of (heap key, monomial)
+    entries; cancelled monomials leave stale entries that are skipped.
+    It is cancelled by the first divisor in list order whose leading
+    monomial divides it, after scaling the work by gc/gcd(gc, wc), or
+    else moved to the remainder.  Divisors are ``_element`` triples with
+    positive leading coefficients.  Returns ``(remainder, scale)``: the
+    remainder's (monomial, integer) items in decreasing order, and the
+    positive integer with scale * f minus the remainder in the ideal of
+    the divisors; divided by ``scale``, the remainder is the exact one of
+    division over Q with the same selection rule.
+    """
+    heap = [(_heap_key(key, e), e) for e in work]
+    heapq.heapify(heap)
+    remainder = []
+    scale = 1
+    while heap:
+        we = heapq.heappop(heap)[1]
+        wc = work.pop(we, 0)
+        if not wc:
+            continue
+        for ge, gc, tail in divisors:
+            if all(map(le, ge, we)):
+                d = math.gcd(gc, wc)
+                if d != gc:
+                    m = gc // d
+                    for e in work:
+                        work[e] *= m
+                    scale *= m
+                _subtract_shifted(work, heap, key, tail, tuple(map(sub, we, ge)), wc // d)
                 break
         else:
-            remainder[we] = wc
-    return remainder
+            remainder.append((we, wc, scale))
+    return [(e, c * (scale // s)) for e, c, s in remainder], scale
+
+
+def _s_pair(f: tuple, g: tuple, a, b) -> dict:
+    """a * x^(l - lm f) * tail f - b * x^(l - lm g) * tail g, l the lcm of
+    the leading monomials: the S-polynomial of f and g when
+    a * lc(f) = b * lc(g), built on raw term dicts."""
+    fe, _, ftail = f
+    ge, _, gtail = g
+    lcm = _lcm(fe, ge)
+    shift = tuple(map(sub, lcm, fe))
+    out = {tuple(map(add, e, shift)): a * c for e, c in ftail}
+    shift = tuple(map(sub, lcm, ge))
+    for e, c in gtail:
+        t = tuple(map(add, e, shift))
+        v = out.get(t, 0) - b * c
+        if v:
+            out[t] = v
+        else:
+            out.pop(t, None)
+    return out
 
 
 def normal_form(f: MultiPoly, basis, order: MonomialOrder | None = None) -> MultiPoly:
     """Remainder of multivariate division of f by the basis.
 
     No term of the result is divisible by any generator's leading
-    monomial, and f minus the result lies in the generated ideal.
+    monomial, and f minus the result lies in the generated ideal.  The
+    leading term of the work is cancelled by the first generator (in
+    list order) whose leading monomial divides it, so the remainder is
+    exact and fixed by the generators' order; it is computed
+    fraction-free and divided back at the end.
     """
     gens = list(basis.generators) if isinstance(basis, IdealBasis) else list(basis)
     if order is None:
@@ -152,24 +204,27 @@ def normal_form(f: MultiPoly, basis, order: MonomialOrder | None = None) -> Mult
             raise UsageError("polynomial and basis live over different tables")
     if not f or not gens:
         return f
-    return MultiPoly(f.vars, _reduce_terms(f.terms, _divisor_data(gens, order), order.key))
+    divisors = [_element(_integer_terms(g.terms)[1], order.key) for g in gens]
+    content, work = _integer_terms(f.terms)
+    remainder, scale = _reduce(work, divisors, order.key)
+    ratio = content / scale
+    return MultiPoly(f.vars, {e: ratio * c for e, c in remainder})
 
 
 def s_polynomial(f: MultiPoly, g: MultiPoly, order: MonomialOrder = GREVLEX) -> MultiPoly:
-    fe, fc = _leading(f, order)
-    ge, gc = _leading(g, order)
-    lcm = tuple(max(a, b) for a, b in zip(fe, ge))
-    mf = MultiPoly.monomial(f.vars, tuple(l - a for l, a in zip(lcm, fe)), Fraction(1) / fc)
-    mg = MultiPoly.monomial(f.vars, tuple(l - a for l, a in zip(lcm, ge)), Fraction(1) / gc)
-    return mf * f - mg * g
+    """lcm/lt(f) * f - lcm/lt(g) * g over the leading terms under ``order``."""
+    if not f or not g:
+        raise UsageError("zero polynomial has no leading term")
+    fel, gel = _element(f.terms, order.key), _element(g.terms, order.key)
+    return MultiPoly(f.vars, _s_pair(fel, gel, 1 / fel[1], 1 / gel[1]))
 
 
 def _lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _coprime(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return not any(x and y for x, y in zip(a, b))
+    return not any(map(min, a, b))
 
 
 def _update(leads, live, pairs, k):
@@ -190,7 +245,7 @@ def _update(leads, live, pairs, k):
     chosen: list[tuple[int, tuple[int, ...]]] = []
     for t, (i, lcm) in enumerate(new):
         if _coprime(leads[i], h) or not any(
-                _divides(m, lcm) for _, m in itertools.chain(new[t + 1:], chosen)):
+                all(map(le, m, lcm)) for _, m in itertools.chain(new[t + 1:], chosen)):
             chosen.append((i, lcm))
     kept.extend((sum(lcm), i, k, lcm) for i, lcm in chosen if not _coprime(leads[i], h))
     heapq.heapify(kept)
@@ -212,11 +267,14 @@ def buchberger(gens, order: MonomialOrder = GREVLEX,
     the reduced basis.
 
     Deterministic: pairs are processed by minimal lcm total degree with
-    ties broken by generator index; intermediate polynomials are kept
-    primitive to control coefficient growth.  ``pair_cap`` bounds the
-    S-polynomial reductions actually performed (pairs a criterion discards
-    do not count); exceeding it raises PairCapExceeded rather than
-    truncating silently.
+    ties broken by generator index.  Elements are kept as integer-primitive
+    term dicts with a positive leading coefficient; S-polynomials are
+    formed from them directly and made primitive before the fraction-free
+    heap division (``_reduce``), and a ``MultiPoly`` is built only for each
+    monic element of the result.  ``pair_cap`` bounds the S-polynomial
+    reductions actually performed (pairs a criterion discards do not
+    count); exceeding it raises PairCapExceeded rather than truncating
+    silently.
     """
     gens = [g for g in gens if g]
     if not gens:
@@ -225,17 +283,21 @@ def buchberger(gens, order: MonomialOrder = GREVLEX,
     if any(g.vars != table for g in gens):
         raise UsageError("generators live over different variable tables")
 
-    basis: list[MultiPoly] = []
+    key = order.key
+    # Every element found so far divides, in insertion order; superseded
+    # ones still lie in the ideal, and with the live ones alone the
+    # coefficients swelled on one block-order caustic chart of a mixed_n3
+    # variant, which then ran past 60 s instead of 0.4 s.
+    basis: list[tuple] = []
     leads: list[tuple[int, ...]] = []
     live: list[int] = []
-    divisors: list = []
     pairs: list[tuple[int, int, int, tuple[int, ...]]] = []
     reductions = 0
     inputs = gens[::-1]
 
     while inputs or pairs:
         if inputs:
-            f = inputs.pop()
+            work = _integer_terms(inputs.pop().terms)[1]
         else:
             _, a, b, _ = heapq.heappop(pairs)
             reductions += 1
@@ -243,34 +305,32 @@ def buchberger(gens, order: MonomialOrder = GREVLEX,
                 raise PairCapExceeded(
                     f"Buchberger exceeded {pair_cap} pair reductions; "
                     "raise WEAVE_PAIR_CAP only if the input is known to be tame")
-            f = s_polynomial(basis[a], basis[b], order)
-        _, f = integer_primitive(f)
-        # Superseded elements stay divisors, in insertion order: they still
-        # lie in the ideal, and with the live ones alone the coefficients
-        # swelled on one block-order caustic chart of a mixed_n3 variant,
-        # which then ran past 60 s instead of 0.4 s.
-        h = MultiPoly(table, _reduce_terms(f.terms, divisors, order.key))
-        if not h:
+            fc, gc = basis[a][1], basis[b][1]
+            d = math.gcd(fc, gc)
+            work = _s_pair(basis[a], basis[b], gc // d, fc // d)
+            if not work:
+                continue
+            d = math.gcd(*work.values())
+            if d != 1:
+                work = {e: c // d for e, c in work.items()}
+        remainder, _ = _reduce(work, basis, key)
+        if not remainder:
             continue
-        if h.is_constant():
+        if not any(remainder[0][0]):
             return IdealBasis((MultiPoly.const(table, 1),), order)
-        _, h = integer_primitive(h)
-        h = _monic(h, order)
-        basis.append(h)
-        leads.append(_leading(h, order)[0])
-        divisors.append((h.terms, leads[-1], Fraction(1)))
+        basis.append(_primitive_element(remainder))
+        leads.append(remainder[0][0])
         live, pairs = _update(leads, live, pairs, len(basis) - 1)
 
     # inter-reduce tails of the minimal basis
     minimal = [basis[t] for t in live]
-    reduced: list[MultiPoly] = []
-    for t, g in enumerate(minimal):
-        others = minimal[:t] + minimal[t + 1:]
-        h = normal_form(g, others, order)
-        if h:
-            reduced.append(_monic(h, order))
-    reduced.sort(key=lambda g: order.key(_leading(g, order)[0]))
-    return IdealBasis(tuple(reduced), order)
+    reduced: list[tuple[tuple[int, ...], MultiPoly]] = []
+    for t, (lead, lc, tail) in enumerate(minimal):
+        remainder, _ = _reduce(dict(((lead, lc), *tail)), minimal[:t] + minimal[t + 1:], key)
+        lead, lc = remainder[0]
+        reduced.append((key(lead), MultiPoly(table, {e: Fraction(c, lc) for e, c in remainder})))
+    reduced.sort(key=lambda kg: kg[0])
+    return IdealBasis(tuple(g for _, g in reduced), order)
 
 
 def ideal_member(f: MultiPoly, gens, order: MonomialOrder = GREVLEX,

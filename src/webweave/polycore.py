@@ -9,9 +9,11 @@ point anywhere; all results are exact.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, neg, sub
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -21,10 +23,49 @@ class UsageError(ValueError):
     """An operation was called outside its documented contract."""
 
 
-def _grevlex_key(exps: tuple[int, ...]):
+def _grevlex_key(exps: tuple[int, ...]) -> tuple[int, ...]:
     # graded reverse lexicographic: higher degree wins, ties broken by the
-    # smaller exponent in the latest differing variable
-    return (sum(exps), tuple(-e for e in reversed(exps)))
+    # smaller exponent in the latest differing variable; flat, so the
+    # negated key (``_heap_key``) is one more pass over the tuple
+    return (sum(exps), *map(neg, reversed(exps)))
+
+
+def _heap_key(key, exps: tuple[int, ...]) -> tuple[int, ...]:
+    """The negated flat order key: heapq pops the largest monomial first."""
+    return tuple(map(neg, key(exps)))
+
+
+def _subtract_shifted(work, heap, key, tail, shift, q) -> None:
+    """work -= q * x^shift * tail on a raw term dict, in place.
+
+    ``work`` has integer coefficients and ``heap`` holds (heap key,
+    exponents) entries covering its monomials; a monomial is pushed when
+    it enters ``work``.  A cancelled monomial is deleted from ``work`` and
+    its heap entry goes stale: popping code skips entries whose monomial
+    is no longer in ``work``.
+    """
+    for e, c in tail:
+        t = tuple(map(add, e, shift))
+        v = work.get(t)
+        if v is None:
+            work[t] = -q * c
+            heapq.heappush(heap, (_heap_key(key, t), t))
+        else:
+            v -= q * c
+            if v:
+                work[t] = v
+            else:
+                del work[t]
+
+
+def _integer_terms(terms: Mapping[tuple[int, ...], Fraction]) -> tuple[Fraction, dict]:
+    """Positive content c and the integer-coprime term map p with terms = c * p."""
+    denom = math.lcm(*(c.denominator for c in terms.values()))
+    ints = {e: c.numerator * (denom // c.denominator) for e, c in terms.items()}
+    g = math.gcd(*ints.values())
+    if g != 1:
+        ints = {e: c // g for e, c in ints.items()}
+    return Fraction(g, denom), ints
 
 
 @dataclass(frozen=True)
@@ -447,6 +488,13 @@ def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly | None:
     A monomial g = c*x^m divides f iff m is at most every exponent vector
     of f componentwise; the quotient then shifts each term of f by m and
     divides its coefficient by c, with no long division.
+
+    Otherwise f is cleared of denominators and g made integer-primitive,
+    and the division runs on one integer term dict whose leading term
+    comes off a heap (Monagan & Pearce, JSC 46, 2011).  By Gauss's lemma
+    the quotient by a primitive g is integral when it exists, so a
+    leading coefficient that g's does not divide, like a leading
+    monomial that g's does not divide, proves that g does not divide f.
     """
     if not g:
         raise UsageError("division by the zero polynomial")
@@ -463,18 +511,27 @@ def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly | None:
                 return None
             shifted[qe] = c / gc
         return MultiPoly(f.vars, shifted)
-    ge, gc = g.leading()
-    quot: dict[tuple[int, ...], Fraction] = {}
-    rem = f
-    while rem:
-        re, rc = rem.leading()
-        qe = tuple(a - b for a, b in zip(re, ge))
-        if any(x < 0 for x in qe):
+    fcont, work = _integer_terms(f.terms)
+    gcont, gint = _integer_terms(g.terms)
+    ge = max(gint, key=_grevlex_key)
+    gc = gint.pop(ge)
+    tail = tuple(gint.items())
+    heap = [(_heap_key(_grevlex_key, e), e) for e in work]
+    heapq.heapify(heap)
+    quot: dict[tuple[int, ...], int] = {}
+    while heap:
+        we = heapq.heappop(heap)[1]
+        wc = work.pop(we, 0)
+        if not wc:
+            continue
+        qe = tuple(map(sub, we, ge))
+        qc, r = divmod(wc, gc)
+        if r or min(qe) < 0:
             return None
-        qc = rc / gc
         quot[qe] = qc
-        rem = rem - MultiPoly.monomial(rem.vars, qe, qc) * g
-    return MultiPoly(f.vars, quot)
+        _subtract_shifted(work, heap, _grevlex_key, tail, qe, qc)
+    ratio = fcont / gcont
+    return MultiPoly(f.vars, {e: ratio * c for e, c in quot.items()})
 
 
 def integer_primitive(f: MultiPoly) -> tuple[Fraction, MultiPoly]:
@@ -485,18 +542,11 @@ def integer_primitive(f: MultiPoly) -> tuple[Fraction, MultiPoly]:
     """
     if not f:
         return Fraction(0), f
-    denom_lcm = 1
-    for c in f.terms.values():
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    num_gcd = 0
-    for c in f.terms.values():
-        num_gcd = math.gcd(num_gcd, abs(c.numerator * (denom_lcm // c.denominator)))
-    content = Fraction(num_gcd, denom_lcm)
-    _, lead = f.leading()
-    if lead < 0:
+    content, ints = _integer_terms(f.terms)
+    if ints[max(ints, key=_grevlex_key)] < 0:
         content = -content
-    prim = MultiPoly(f.vars, {e: c / content for e, c in f.terms.items()})
-    return content, prim
+        ints = {e: -c for e, c in ints.items()}
+    return content, MultiPoly(f.vars, ints)
 
 
 # -- polynomial matrices ----------------------------------------------

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -239,6 +240,100 @@ def test_reduced_basis_matches_sympy_on_random_ideals(names, count, order):
         _assert_same_basis(buchberger(gens, ours_order), _sympy_basis(sympy, gens, order))
 
 
+RATIONALS = (Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5), Fraction(-5, 7))
+
+
+def rand_rational_ideal(rng, table, count):
+    """rand_ideal with each coefficient scaled by a non-integer rational."""
+    return [MultiPoly(table, {e: c * rng.choice(RATIONALS) for e, c in g.terms.items()})
+            for g in rand_ideal(rng, table, count)]
+
+
+def _block_orders(table, eliminated):
+    """Our block order eliminating the leading variables, and sympy's."""
+    from sympy.polys.orderings import ProductOrder, grevlex
+
+    k = len(eliminated)
+    assert table.names[:k] == eliminated
+    return (block_order(table, eliminated),
+            ProductOrder((grevlex, lambda m: m[:k]), (grevlex, lambda m: m[k:])))
+
+
+@pytest.mark.parametrize("names, count, order", [
+    (("a", "b", "c"), (2, 3), "grevlex"),
+    (("a", "b", "c"), (2, 3), "lex"),
+    (("a", "b", "c"), (2, 3), "block"),
+    (("a", "b", "c", "d"), (3, 4), "grevlex"),
+    (("a", "b", "c", "d"), (3, 4), "lex"),
+    (("a", "b", "c", "d"), (3, 4), "block"),
+], ids=["3vars-grevlex", "3vars-lex", "3vars-block", "4vars-grevlex", "4vars-lex", "4vars-block"])
+def test_reduced_basis_matches_sympy_on_rational_ideals(names, count, order):
+    # denominators and block orders are where the fraction-free engine's
+    # scaling and its flat block key could go wrong
+    sympy = pytest.importorskip("sympy")
+    table = VarTable.plain(names)
+    rng = random.Random(5150)
+    if order == "block":
+        ours_order, theirs_order = _block_orders(table, names[:len(names) // 2])
+    else:
+        ours_order, theirs_order = (GREVLEX if order == "grevlex" else LEX), order
+    nontrivial = 0
+    for _ in range(12):
+        gens = rand_rational_ideal(rng, table, count)
+        if not gens:
+            continue
+        ours = buchberger(gens, ours_order)
+        _assert_same_basis(ours, _sympy_basis(sympy, gens, theirs_order))
+        nontrivial += len(ours) > 1
+    assert nontrivial >= 4
+
+
+def _reference_remainder(f, divisors, order):
+    """Division over Q written out with MultiPoly arithmetic: the largest
+    work term is cancelled by the first divisor whose leading monomial
+    divides it, and otherwise moved to the remainder."""
+    table = f.vars
+    work, remainder = f, MultiPoly.zero(table)
+    while work:
+        we, wc = work.leading(order.key)
+        for g in divisors:
+            ge, gc = g.leading(order.key)
+            if all(a <= b for a, b in zip(ge, we)):
+                shift = tuple(b - a for a, b in zip(ge, we))
+                work = work - MultiPoly.monomial(table, shift, wc / gc) * g
+                break
+        else:
+            lead = MultiPoly.monomial(table, we, wc)
+            remainder, work = remainder + lead, work - lead
+    return remainder
+
+
+@pytest.mark.parametrize("order_name", ["grevlex", "lex", "block"])
+def test_normal_form_is_the_exact_remainder(order_name):
+    # the remainder depends on the divisors' order and scaling only through
+    # the selection rule, so the fraction-free heap division must give
+    # the reference's remainder term for term
+    table = VarTable.plain(("a", "b", "c"))
+    order = {"grevlex": GREVLEX, "lex": LEX, "block": block_order(table, ("a",))}[order_name]
+    rng = random.Random(6061)
+    partial = 0
+    for _ in range(30):
+        divisors = [g for g in rand_rational_ideal(rng, table, (2, 3))
+                    if not g.is_constant()]
+        f = MultiPoly.zero(table)
+        for g in divisors:
+            m = tuple(rng.randint(0, 1) for _ in table.names)
+            f = f + MultiPoly.monomial(table, m, rng.choice(RATIONALS)) * g
+        f = f + MultiPoly(table, {tuple(rng.randint(0, 2) for _ in table.names):
+                                  rng.choice(RATIONALS) for _ in range(2)})
+        if not divisors or not f:
+            continue
+        want = _reference_remainder(f, divisors, order)
+        assert normal_form(f, divisors, order) == want, (f, [str(g) for g in divisors])
+        partial += want != f and bool(want)
+    assert partial >= 10
+
+
 @pytest.mark.parametrize("sample", sorted(p.name for p in SAMPLES.glob("*.json")))
 def test_critical_basis_matches_sympy_on_samples(sample):
     sympy = pytest.importorskip("sympy")
@@ -257,17 +352,17 @@ def test_pair_criteria_skip_most_pairs(monkeypatch):
 
     With only the product criterion (before the Gebauer-Moller chain and
     update criteria) this loop formed 2,130 S-polynomials; with them it
-    forms about 380.
+    forms 380.  The engine builds each one with ``_s_pair``.
     """
     calls = 0
-    spoly = idealcalc.s_polynomial
+    spair = idealcalc._s_pair
 
     def counting(*args):
         nonlocal calls
         calls += 1
-        return spoly(*args)
+        return spair(*args)
 
-    monkeypatch.setattr(idealcalc, "s_polynomial", counting)
+    monkeypatch.setattr(idealcalc, "_s_pair", counting)
     doc, _ = parse_input(str(SAMPLES / "mixed_n3.json"))
     w = doc.web()
     for chart in standard_atlas(w.n):

@@ -345,6 +345,34 @@ def _multi_term_poly(rng, table, **kw):
     return f
 
 
+@pytest.mark.parametrize("table", [T, VarTable.chart(3, 0, 1)], ids=["3vars", "5vars"])
+def test_exact_divide_by_multi_term_matches_sympy(table):
+    # h * g is divisible by construction; adding one rational term to it
+    # (almost always) is not, and then the heap division must return None
+    sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols(table.names)
+    rng = random.Random(43)
+    scales = (Fraction(1), Fraction(-2, 3), Fraction(3, 2), Fraction(5, 7))
+    outcomes = set()
+    for k in range(40):
+        g = _multi_term_poly(rng, table, max_terms=3, max_exp=2) * rng.choice(scales)
+        h = rand_poly(rng, table, max_terms=4, max_exp=2) * rng.choice(scales)
+        f = h * g
+        if k % 2:
+            f = f + MultiPoly.monomial(table, [rng.randint(0, 2) for _ in table.names],
+                                       rng.choice(scales))
+        q, r = sympy.div(_sympy_poly(sympy, f, syms), _sympy_poly(sympy, g, syms))
+        got = exact_divide(f, g)
+        if r.is_zero:
+            assert got == from_sympy(sympy, q, table), (f, g)
+            if not k % 2:
+                assert got == h
+        else:
+            assert got is None, (f, g)
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
 @pytest.mark.parametrize("table, max_exp", [(T, 2), (VarTable.chart(3, 0, 1), 1)],
                          ids=["3vars", "5vars"])
 def test_coprimality_certificate_matches_sympy(table, max_exp):
