@@ -85,10 +85,6 @@ class BiHomogPde:
         assert bd is not None
         return bd
 
-    @property
-    def weight(self) -> int:
-        return self.bidegree[1]
-
     def canonical_poly(self) -> MultiPoly:
         return reduce_mod_incidence(self.n, self.poly)
 
@@ -252,27 +248,12 @@ def rehomogenize(form: ChartForm, bidegree: tuple[int, int] | None = None) -> Bi
 
     sub = chart.substitution()
     table = VarTable.bihomog(n)
-    # power caches for the substitution values, grown on demand
-    pows: dict[str, list[MultiPoly]] = {name: [MultiPoly.const(chart.table, 1)]
-                                        for name in sub}
-
-    def value_power(name: str, e: int) -> MultiPoly:
-        cache = pows[name]
-        while len(cache) <= e:
-            cache.append(cache[-1] * sub[name])
-        return cache[e]
-
     for delta, d in candidates:
         if delta < 0 or d < 1:
             raise UsageError("declared bi-degree must have delta >= 0, d >= 1")
         monoms = list(_canonical_monomials(n, delta, d))
-        restrictions = []
-        for m in monoms:
-            r = MultiPoly.const(chart.table, 1)
-            for k, e in enumerate(m):
-                if e:
-                    r = r * value_power(table.names[k], e)
-            restrictions.append(r)
+        restrictions = [substitute(MultiPoly.monomial(table, m), sub, target=chart.table)[0]
+                        for m in monoms]
         support: list[tuple[int, ...]] = sorted(
             set(F.terms) | {e for r in restrictions for e in r.terms})
         row_of = {e: k for k, e in enumerate(support)}
@@ -360,7 +341,7 @@ class RatFunc:
         return self.num.evaluate(point) / d
 
     def __repr__(self) -> str:
-        if self.den.is_constant() and self.den.constant_value() == 1:
+        if self.den == 1:
             return f"RatFunc({self.num})"
         return f"RatFunc(({self.num})/({self.den}))"
 

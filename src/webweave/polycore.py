@@ -260,13 +260,6 @@ class MultiPoly:
     def is_constant(self) -> bool:
         return all(not any(e) for e in self.terms)
 
-    def constant_value(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        if not self.is_constant():
-            raise UsageError("polynomial is not constant")
-        return next(iter(self.terms.values()))
-
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
@@ -285,9 +278,6 @@ class MultiPoly:
                 if exp:
                     used.add(self.vars.names[k])
         return used
-
-    def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
 
     def leading(self, key=_grevlex_key) -> tuple[tuple[int, ...], Fraction]:
         if not self.terms:
@@ -367,10 +357,6 @@ def partial_derivative(f: MultiPoly, v: str) -> MultiPoly:
     return f.derivative(v)
 
 
-def group_degree(f: MultiPoly, label: str) -> int:
-    return f.group_degree(label)
-
-
 def is_bihomogeneous(f: MultiPoly) -> tuple[int, int] | None:
     """Bi-degree (d1, d2) over the table's first two groups, or None.
 
@@ -428,45 +414,41 @@ def substitute(
         out_table = target
     same_table = out_table == f.vars
 
-    degs = {name: f.degree_in(name) for name in pairs}
-    # cache powers up to the needed degree
-    num_pow: dict[str, list[MultiPoly]] = {}
-    den_pow: dict[str, list[MultiPoly]] = {}
+    # factors[k][e] = num^e * den^(deg - e) for the mapped variable at index
+    # k, built once: every mapped variable contributes den^(deg - e), also
+    # when e = 0, so all terms share the cleared denominator D
+    one = MultiPoly.const(out_table, 1)
+    factors: dict[int, list[MultiPoly]] = {}
+    clear = one
     for name, (num, den) in pairs.items():
-        d = degs[name]
-        npows = [MultiPoly.const(out_table, 1)]
-        dpows = [MultiPoly.const(out_table, 1)]
+        d = f.degree_in(name)
+        npows, dpows = [one], [one]
         for _ in range(d):
             npows.append(npows[-1] * num)
             dpows.append(dpows[-1] * den)
-        num_pow[name], den_pow[name] = npows, dpows
+        factors[f.vars.index(name)] = (
+            npows if den == 1 else [npows[e] * dpows[d - e] for e in range(d + 1)])
+        clear = clear * dpows[d]
 
     width = len(out_table.names)
-    mapped_at = {f.vars.index(name): name for name in pairs}
-    result = MultiPoly.zero(out_table)
+    out: dict[tuple[int, ...], Fraction] = {}
     for exps, c in f.terms.items():
-        part = MultiPoly.const(out_table, c)
         carried = [0] * width
         for k, e in enumerate(exps):
-            if k in mapped_at or not e:
-                continue
-            name = f.vars.names[k]
-            if not same_table:
-                raise UsageError(f"variable {name!r} is not mapped")
-            carried[out_table.index(name)] += e
-        # every mapped variable contributes den^(deg - e), also when e = 0,
-        # so all terms share the same cleared denominator
-        for k, name in mapped_at.items():
-            e = exps[k]
-            part = part * num_pow[name][e] * den_pow[name][degs[name] - e]
-        if any(carried):
-            part = part * MultiPoly.monomial(out_table, carried)
-        result = result + part
-
-    clear = MultiPoly.const(out_table, 1)
-    for name, (_, den) in pairs.items():
-        clear = clear * den_pow[name][degs[name]] if degs[name] else clear
-    return result, clear
+            if e and k not in factors:
+                if not same_table:
+                    raise UsageError(f"variable {f.vars.names[k]!r} is not mapped")
+                carried[k] = e
+        part = MultiPoly.monomial(out_table, carried, c)
+        for k, fac in factors.items():
+            part = part * fac[exps[k]]
+        for e, v in part.terms.items():
+            s = out.get(e, 0) + v
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return MultiPoly(out_table, out), clear
 
 
 def scalar_equal(f: MultiPoly, g: MultiPoly) -> bool:

@@ -70,33 +70,68 @@ def is_algebraic_web(w: CiWeb) -> bool:
 
 
 class ChartWebData:
-    """Per-chart critical package of a web.
+    """Per-chart package of a web: its chart forms and their Jacobian.
 
-    ``p_jacobian`` has rows indexed by equation and columns by the chart's
-    p-variables; ``contact_jacobian`` rows by equation and columns by the
-    contact directions (entry dF/dx_a + p_a dF/dx_j); ``p_adjugate`` is
-    the adjugate of the p-Jacobian, so p_jacobian * p_adjugate =
-    critical_det * I.  ``warnings`` (input diagnostics) and
-    ``critical_basis`` (the reduced basis of (F_1..F_{n-1}, critical_det),
-    None on degenerate charts) are computed on first access.
+    ``jacobian`` has rows indexed by equation and columns by the chart's
+    variables in table order (dF/dv, each computed once); every other
+    member is derived from it on first use.  ``p_jacobian`` keeps its
+    p-columns; ``contact_jacobian`` has columns by contact direction
+    (entry dF/dx_a + p_a dF/dx_j); ``p_adjugate`` is the adjugate of the
+    p-Jacobian, so p_jacobian * p_adjugate = critical_det * I.
+    ``warnings`` are input diagnostics, ``web_basis`` and
+    ``critical_basis`` the reduced bases of (F_1..F_{n-1}) and of
+    (F_1..F_{n-1}, critical_det) (None on degenerate charts), and
+    ``smooth`` tells whether the forms and the maximal minors of the
+    Jacobian generate the unit ideal.
     """
 
     def __init__(self, chart: Chart, forms: tuple[MultiPoly, ...],
                  pair_cap: int = DEFAULT_PAIR_CAP):
         self.chart = chart
         self.forms = forms
-        self.p_jacobian = PolyMatrix.from_rows(
-            [[partial_derivative(F, f"p{a}") for a in chart.p_indices] for F in forms])
-        self.critical_det = poly_det(self.p_jacobian)
-        self.contact_jacobian = PolyMatrix.from_rows(
-            [_contact_row(chart, F) for F in forms])
-        self.p_adjugate = poly_adjugate(self.p_jacobian)
-        self.degenerate = not self.critical_det
         self._pair_cap = pair_cap
 
     @cached_property
+    def jacobian(self) -> PolyMatrix:
+        return PolyMatrix.from_rows(
+            [[partial_derivative(F, v) for v in self.chart.table.names] for F in self.forms])
+
+    def _columns(self, cols) -> list[list[MultiPoly]]:
+        J = self.jacobian
+        return [[J.at(r, c) for c in cols] for r in range(J.rows)]
+
+    @cached_property
+    def p_jacobian(self) -> PolyMatrix:
+        return PolyMatrix.from_rows(self._columns(self.chart.table.group("p")))
+
+    @cached_property
+    def contact_jacobian(self) -> PolyMatrix:
+        J, chart = self.jacobian, self.chart
+        col = chart.table.index
+        xj = col(f"x{chart.j}")
+        return PolyMatrix.from_rows(
+            [[J.at(r, col(f"x{a}")) + chart.p(a) * J.at(r, xj) for a in chart.p_indices]
+             for r in range(J.rows)])
+
+    @cached_property
+    def critical_det(self) -> MultiPoly:
+        return poly_det(self.p_jacobian)
+
+    @cached_property
+    def degenerate(self) -> bool:
+        return not self.critical_det
+
+    @cached_property
+    def p_adjugate(self) -> PolyMatrix:
+        return poly_adjugate(self.p_jacobian)
+
+    @cached_property
     def warnings(self) -> tuple[str, ...]:
-        return tuple(_input_warnings(self.chart, self.forms))
+        return tuple(_input_warnings(self))
+
+    @cached_property
+    def web_basis(self) -> IdealBasis:
+        return buchberger(list(self.forms), GREVLEX, self._pair_cap)
 
     @cached_property
     def critical_basis(self) -> IdealBasis | None:
@@ -104,27 +139,27 @@ class ChartWebData:
             return None
         return buchberger(list(self.forms) + [self.critical_det], GREVLEX, self._pair_cap)
 
+    @cached_property
+    def smooth(self) -> bool:
+        gens = list(self.forms)
+        for cols in itertools.combinations(range(self.jacobian.cols), len(self.forms)):
+            gens.append(poly_det(PolyMatrix.from_rows(self._columns(cols))))
+        return is_trivial_ideal(gens, GREVLEX, self._pair_cap)
+
+    def vanishes_on_web(self, entries) -> bool:
+        """Every entry lies in the ideal (F_1..F_{n-1})."""
+        return all(not e or not normal_form(e, self.web_basis) for e in entries)
+
     def obstruction(self) -> PolyMatrix:
         """The matrix whose vanishing on the critical scheme is dicriticity."""
         return self.p_adjugate.matmul(self.contact_jacobian)
 
 
-def _contact_row(chart: Chart, F: MultiPoly) -> list[MultiPoly]:
-    """dF/dx_a + p_a dF/dx_j for each contact direction a of the chart."""
-    dxj = partial_derivative(F, f"x{chart.j}")
-    return [partial_derivative(F, f"x{a}") + chart.p(a) * dxj for a in chart.p_indices]
-
-
-def _chart_forms(w: CiWeb, chart: Chart) -> tuple[MultiPoly, ...]:
-    return tuple(chart_form(p, chart).poly for p in w.pdes)
-
-
-def _input_warnings(chart: Chart, forms) -> list[str]:
+def _input_warnings(data: ChartWebData) -> list[str]:
     out = []
-    names = chart.table.names
-    for k, F in enumerate(forms):
-        if any(not multivar_gcd([F, partial_derivative(F, v)]).is_constant()
-               for v in names if F.degree_in(v) > 0):
+    chart = data.chart
+    for k, F in enumerate(data.forms):
+        if any(not multivar_gcd([F, d]).is_constant() for d in data.jacobian.row(k) if d):
             out.append(f"chart ({chart.i},{chart.j}): equation {k + 1} may be "
                        "non-reduced (shares a factor with a partial derivative)")
         coeffs = _p_coefficients(chart, F)
@@ -149,7 +184,7 @@ def chart_web_data(w: CiWeb, chart: Chart,
                    pair_cap: int = DEFAULT_PAIR_CAP) -> ChartWebData:
     if chart.n != w.n:
         raise UsageError("chart dimension does not match the web")
-    return ChartWebData(chart, _chart_forms(w, chart), pair_cap)
+    return ChartWebData(chart, tuple(chart_form(p, chart).poly for p in w.pdes), pair_cap)
 
 
 @dataclass(frozen=True)
@@ -196,16 +231,12 @@ def _critical_membership(w: CiWeb, charts, pair_cap: int, hyper: bool) -> WebVer
         data = chart_web_data(w, chart, pair_cap)
         warns.extend(data.warnings)
         if hyper:
-            entries = [e for e in data.contact_jacobian.entries if e]
-            if entries:
-                web_basis = buchberger(list(data.forms), GREVLEX, pair_cap)
-                on_web = all(not normal_form(e, web_basis) for e in entries) and on_web
+            on_web = data.vanishes_on_web(data.contact_jacobian.entries) and on_web
         if data.degenerate:
             per.append(ChartVerdict(chart, "degenerate", "critical determinant is 0"))
             continue
-        if not hyper:
-            entries = [e for e in data.obstruction().entries if e]
-        ok = all(not normal_form(e, data.critical_basis) for e in entries)
+        matrix = data.contact_jacobian if hyper else data.obstruction()
+        ok = all(not e or not normal_form(e, data.critical_basis) for e in matrix.entries)
         per.append(ChartVerdict(chart, "true" if ok else "false"))
     return _aggregate(per, warns, (("theta_vanishes_on_web", on_web),) if hyper else ())
 
@@ -236,9 +267,8 @@ def is_linearizable_pde(S: BiHomogPde, charts=None,
     """
     per = []
     for chart in atlas(S.n, charts):
-        F = chart_form(S, chart).poly
-        basis = buchberger([F], GREVLEX, pair_cap)
-        ok = all(not normal_form(e, basis) for e in _contact_row(chart, F))
+        data = ChartWebData(chart, (chart_form(S, chart).poly,), pair_cap)
+        ok = data.vanishes_on_web(data.contact_jacobian.entries)
         per.append(ChartVerdict(chart, "true" if ok else "false"))
     return _aggregate(per)
 
@@ -251,18 +281,8 @@ def smoothness_chart_check(w: CiWeb, charts=None,
     Jacobian is trivial iff the chart contains no singular point; all
     charts trivial certifies the web smooth (hence quasi-smooth).
     """
-    per = []
-    k = w.n - 1
-    for chart in atlas(w.n, charts):
-        forms = _chart_forms(w, chart)
-        names = chart.table.names
-        jac = [[partial_derivative(F, v) for v in names] for F in forms]
-        gens = list(forms)
-        for cols in itertools.combinations(range(len(names)), k):
-            rows = [[jac[r][c] for c in cols] for r in range(k)]
-            gens.append(poly_det(PolyMatrix.from_rows(rows)))
-        ok = is_trivial_ideal(gens, GREVLEX, pair_cap)
-        per.append(ChartVerdict(chart, "true" if ok else "false"))
+    per = [ChartVerdict(chart, "true" if chart_web_data(w, chart, pair_cap).smooth else "false")
+           for chart in atlas(w.n, charts)]
     return _aggregate(per)
 
 

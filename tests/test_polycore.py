@@ -144,6 +144,38 @@ def test_substitute_round_trip_through_inverse():
         assert h.evaluate(pt) == d2.evaluate(pt) * d1.evaluate(flipped) * f.evaluate(pt)
 
 
+def test_substitute_into_another_table():
+    # the path of chart forms and transported forms: f over the
+    # bi-homogeneous table, every value over a chart table, all but X0's
+    # with a non-constant denominator; g = D * f(map) off the poles
+    B = VarTable.bihomog(2)
+    rng = random.Random(17)
+    checked = 0
+    for _ in range(6):
+        f = rand_poly(rng, B, max_terms=5)
+        plain = rand_poly(rng)
+        ratios = {v: (rand_poly(rng), rand_poly(rng, max_terms=2) * X1 + X2 + 2)
+                  for v in B.names[1:]}
+        g, D = substitute(f, {"X0": plain, **ratios}, target=T)
+        expected_D = MultiPoly.const(T, 1)
+        for v, (_, den) in ratios.items():
+            expected_D = expected_D * den ** f.degree_in(v)
+        assert g.vars == T and D == expected_D
+        for _ in range(8):
+            pt = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for v in T.names}
+            dens = {v: den.evaluate(pt) for v, (_, den) in ratios.items()}
+            if 0 in dens.values():
+                continue
+            image = {v: num.evaluate(pt) / dens[v] for v, (num, _) in ratios.items()}
+            image["X0"] = plain.evaluate(pt)
+            assert g.evaluate(pt) == D.evaluate(pt) * f.evaluate(image)
+            checked += 1
+    assert checked >= 40
+    del ratios["u1"]
+    with pytest.raises(UsageError, match="'u1' is not mapped"):
+        substitute(MultiPoly.var(B, "X1") * MultiPoly.var(B, "u1"), ratios, target=T)
+
+
 # -- degrees and bi-homogeneity ----------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Web verdicts: critical data, dicriticity, smoothness, caustics, certification."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -207,6 +208,62 @@ def test_common_coefficient_factor_warned():
     assert any("common non-constant factor" in w for w in d.warnings)
     clean = chart_web_data(CiWeb(2, (BiHomogPde(2, U1**2 + U2**2),)), C02)
     assert not any("common non-constant factor" in w for w in clean.warnings)
+
+
+def _warned_web() -> CiWeb:
+    # equation 1, X1 (u1 + u2)^2, is non-reduced in every chart and has
+    # p-coefficients with the common factor x1 where X1 is not normalized;
+    # equation 2, (X2 u3 - X3 u1)^2, is non-reduced in every chart
+    bi3 = VarTable.bihomog(3)
+    X = [MultiPoly.var(bi3, f"X{k}") for k in range(4)]
+    u = [MultiPoly.var(bi3, f"u{k}") for k in range(4)]
+    return CiWeb(3, (BiHomogPde(3, X[1] * (u[1] + u[2]) ** 2),
+                     BiHomogPde(3, (X[2] * u[3] - X[3] * u[1]) ** 2)))
+
+
+NON_REDUCED = "may be non-reduced (shares a factor with a partial derivative)"
+COMMON_FACTOR = "has p-coefficients with a common non-constant factor"
+WARNED_WEB_WARNINGS = tuple(
+    f"chart ({chart}): equation {k} {text}" for chart, k, text in [
+        ("0,1", 1, NON_REDUCED), ("0,1", 1, COMMON_FACTOR), ("0,1", 2, NON_REDUCED),
+        ("0,2", 1, NON_REDUCED), ("0,2", 1, COMMON_FACTOR), ("0,2", 2, NON_REDUCED),
+        ("0,3", 1, NON_REDUCED), ("0,3", 1, COMMON_FACTOR), ("0,3", 2, NON_REDUCED),
+        ("1,0", 1, NON_REDUCED), ("1,0", 2, NON_REDUCED),
+        ("1,2", 1, NON_REDUCED), ("1,2", 2, NON_REDUCED),
+        ("1,3", 1, NON_REDUCED), ("1,3", 2, NON_REDUCED),
+        ("2,0", 1, NON_REDUCED), ("2,0", 1, COMMON_FACTOR), ("2,0", 2, NON_REDUCED),
+        ("2,1", 1, NON_REDUCED), ("2,1", 1, COMMON_FACTOR), ("2,1", 2, NON_REDUCED),
+        ("2,3", 1, NON_REDUCED), ("2,3", 1, COMMON_FACTOR), ("2,3", 2, NON_REDUCED),
+        ("3,0", 1, NON_REDUCED), ("3,0", 1, COMMON_FACTOR), ("3,0", 2, NON_REDUCED),
+        ("3,1", 1, NON_REDUCED), ("3,1", 1, COMMON_FACTOR), ("3,1", 2, NON_REDUCED),
+        ("3,2", 1, NON_REDUCED), ("3,2", 1, COMMON_FACTOR), ("3,2", 2, NON_REDUCED),
+    ])
+
+
+def test_verdict_warnings_text_and_order():
+    # chart by chart in atlas order, equations in input order, the
+    # non-reduced warning before the common-factor one
+    w = _warned_web()
+    assert is_dicritical(w).warnings == WARNED_WEB_WARNINGS
+    assert is_hyperdicritical(w).warnings == WARNED_WEB_WARNINGS
+
+
+def test_hyperdicritical_differentiates_each_form_once(monkeypatch):
+    w = _warned_web()
+    forms = {(chart.table.names, frozenset(chart_form(S, chart).poly.terms.items()))
+             for chart in standard_atlas(3) for S in w.pdes}
+    calls = Counter()
+    derivative = MultiPoly.derivative
+
+    def counted(f, name):
+        calls[f.vars.names, frozenset(f.terms.items()), name] += 1
+        return derivative(f, name)
+
+    monkeypatch.setattr(MultiPoly, "derivative", counted)
+    is_hyperdicritical(w)
+    per_form = {key: n for key, n in calls.items() if key[:2] in forms}
+    assert len(per_form) == len(forms) * 5  # each form by each of its 2n - 1 chart variables
+    assert max(per_form.values()) == 1
 
 
 # -- degenerate charts --------------------------------------------------------
