@@ -26,13 +26,11 @@ from .polycore import (
     UsageError,
     VarTable,
     exact_divide,
-    integer_primitive,
     is_bihomogeneous,
     multivar_gcd,
     poly_adjugate,
     poly_det,
     scalar_equal,
-    solve_linear,
     substitute,
 )
 
@@ -159,31 +157,20 @@ class Chart:
         return MultiPoly.var(self.table, f"p{k}")
 
     @cached_property
-    def _u_values(self) -> dict[int, MultiPoly]:
-        vals = {self.j: MultiPoly.const(self.table, -1)}
-        for a in self.p_indices:
-            vals[a] = self.p(a)
-        forced = self.x(self.j)
-        for a in self.p_indices:
-            forced = forced - self.p(a) * self.x(a)
-        vals[self.i] = forced
-        return vals
-
-    @cached_property
     def _substitution(self) -> dict[str, MultiPoly]:
         sub: dict[str, MultiPoly] = {f"X{self.i}": MultiPoly.const(self.table, 1)}
         for k in self.x_indices:
             sub[f"X{k}"] = self.x(k)
-        for k, val in self._u_values.items():
-            sub[f"u{k}"] = val
+        sub[f"u{self.j}"] = MultiPoly.const(self.table, -1)
+        forced = self.x(self.j)
+        for a in self.p_indices:
+            sub[f"u{a}"] = self.p(a)
+            forced = forced - self.p(a) * self.x(a)
+        sub[f"u{self.i}"] = forced
         return sub
 
-    # Both are built once per chart; each call hands out a fresh dict, so
-    # no caller can change the cached one (the polynomials are immutable).
-    def u_values(self) -> dict[int, MultiPoly]:
-        """Homogeneous u's evaluated in this chart's normalization."""
-        return dict(self._u_values)
-
+    # built once per chart; each call hands out a fresh dict, so no caller
+    # can change the cached one (the polynomials are immutable)
     def substitution(self) -> dict[str, MultiPoly]:
         return dict(self._substitution)
 
@@ -199,6 +186,10 @@ class ChartForm:
     chart: Chart
     poly: MultiPoly
 
+    def __post_init__(self):
+        if self.poly.vars != self.chart.table:
+            raise UsageError("chart form does not live over its chart's table")
+
 
 def chart_form(S: BiHomogPde, chart: Chart) -> ChartForm:
     if chart.n != S.n:
@@ -207,67 +198,58 @@ def chart_form(S: BiHomogPde, chart: Chart) -> ChartForm:
     return ChartForm(chart, F)
 
 
-def _degree_vectors(total: int, slots: int):
-    if slots == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for rest in _degree_vectors(total - head, slots - 1):
-            yield (head,) + rest
-
-
-def _canonical_monomials(n: int, delta: int, d: int):
-    """Bidegree-(delta, d) monomials not divisible by u0*X0 (normal forms)."""
-    for xe in _degree_vectors(delta, n + 1):
-        for ue in _degree_vectors(d, n + 1):
-            if xe[0] >= 1 and ue[0] >= 1:
-                continue
-            yield xe + ue
-
-
 def rehomogenize(form: ChartForm, bidegree: tuple[int, int] | None = None) -> BiHomogPde:
     """The equation of minimal bi-degree restricting to the given chart form.
 
     The representative is canonical modulo the incidence form (u0
     eliminated).  Without a declared bi-degree the u-degree is the
     p-degree of F and the X-degree is the least one that admits a
-    polynomial homogenization.  With a declared bi-degree the system is
-    solved at exactly that bi-degree and failure is an error.
+    polynomial homogenization.  With a declared bi-degree the equation
+    has exactly that bi-degree and failure is an error.
+
+    Each term c x^a p^b of F lifts to c (-1)^(d-|b|) X^a X_i^(dx-|a|)
+    u^b u_j^(d-|b|), dx the x-degree of F, which restricts back to it.
+    Modulo the incidence form with u_j X_j leading, the lift's normal form
+    is X_i^m times the minimal equation's: two equations of one bi-degree
+    with the same chart form differ by a multiple of the incidence form,
+    and multiplying by X_i (i != j) keeps normal forms normal.
     """
     chart, F = form.chart, form.poly
     if not F:
         raise UsageError("cannot homogenize the zero chart form")
-    n = chart.n
-    if bidegree is not None:
-        candidates = [bidegree]
-    else:
-        d = F.group_degree("p")
-        if d < 1:
+    n, i, j = chart.n, chart.i, chart.j
+    dx, dp = F.group_degree("x"), F.group_degree("p")
+    if bidegree is None:
+        if dp < 1:
             raise UsageError("chart form has p-degree 0: weight would be 0")
-        candidates = [(delta, d) for delta in range(F.group_degree("x") + 1)]
-
-    sub = chart.substitution()
-    table = VarTable.bihomog(n)
-    for delta, d in candidates:
+        delta, d = None, dp
+    else:
+        delta, d = bidegree
         if delta < 0 or d < 1:
             raise UsageError("declared bi-degree must have delta >= 0, d >= 1")
-        monoms = list(_canonical_monomials(n, delta, d))
-        restrictions = [substitute(MultiPoly.monomial(table, m), sub, target=chart.table)[0]
-                        for m in monoms]
-        support: list[tuple[int, ...]] = sorted(
-            set(F.terms) | {e for r in restrictions for e in r.terms})
-        row_of = {e: k for k, e in enumerate(support)}
-        rows = [[Fraction(0)] * len(monoms) for _ in support]
-        for col, r in enumerate(restrictions):
-            for e, c in r.terms.items():
-                rows[row_of[e]][col] = c
-        rhs = [F.terms.get(e, Fraction(0)) for e in support]
-        sol = solve_linear(rows, rhs)
-        if sol is None:
-            continue
-        H = MultiPoly(table, {m: c for m, c in zip(monoms, sol) if c})
-        return BiHomogPde(n, H)
-    raise UsageError("no polynomial homogenization at the declared bi-degree")
+    infeasible = "no polynomial homogenization at the declared bi-degree"
+    if d < dp:
+        raise UsageError(infeasible)
+
+    table = VarTable.bihomog(n)
+    lift = {}
+    for exps, c in F.terms.items():
+        out = [0] * (2 * n + 2)
+        for k, e in zip(chart.x_indices, exps[:n]):
+            out[k] = e
+        for k, e in zip(chart.p_indices, exps[n:]):
+            out[n + 1 + k] = e
+        out[i] = dx - sum(exps[:n])
+        out[n + 1 + j] = d - sum(exps[n:])
+        lift[tuple(out)] = -c if out[n + 1 + j] % 2 else c
+    H = normal_form(MultiPoly(table, lift), [incidence_form(n)],
+                    block_order(table, (f"u{j}",)))
+    m = min(e[i] for e in H.terms)
+    shift = m if delta is None else dx - delta
+    if shift > m:
+        raise UsageError(infeasible)
+    H = MultiPoly(table, {e[:i] + (e[i] - shift,) + e[i + 1:]: c for e, c in H.terms.items()})
+    return BiHomogPde(n, reduce_mod_incidence(n, H))
 
 
 # -- rational functions and chart transitions ---------------------------
@@ -361,17 +343,6 @@ class ChartMaps:
     def maps(self) -> dict[str, RatFunc]:
         return dict(self.x_map) | dict(self.p_map)
 
-    def overlap_factors(self) -> list[MultiPoly]:
-        """Polynomials invertible on the chart overlap (unit generators)."""
-        out: list[MultiPoly] = []
-        src, tgt = self.source, self.target
-        if tgt.i != src.i:
-            out.append(src.x(tgt.i))
-        if tgt.j != src.j:
-            _, prim = integer_primitive(src.u_values()[tgt.j])
-            out.append(prim)
-        return out
-
 
 @dataclass(frozen=True)
 class ChartTransition(ChartMaps):
@@ -448,32 +419,18 @@ def transport_form(t: ChartMaps, form: "ChartForm | MultiPoly") -> tuple[MultiPo
     return substitute(F, mapping, target=t.source.table)
 
 
-def _peel(f: MultiPoly, factors: Sequence[MultiPoly]) -> MultiPoly:
-    """Divide f by the highest power of each unit that divides it exactly.
-
-    The units must be non-constant: a constant divides every power of f.
-    """
-    for a in factors:
-        while q := exact_divide(f, a):
-            f = q
-    return f
-
-
 def covariance_check(S: BiHomogPde, c1: Chart, c2: Chart) -> bool:
-    """Chart forms of one equation differ by a unit on the chart overlap.
+    """Chart forms of one equation obey the cocycle law on the overlap.
 
-    The pullback of the c2 form through the transition must equal the c1
-    form times a product of integer powers of the overlap units (powers
-    of x_{i'} and of the u_{j'} expression, which generate the covariance
-    factor together with a nonzero rational constant).
+    Read in chart c1, the chart c2 coordinates are (X/X_{i'}, u/(-u_{j'})),
+    so for H of bi-degree (delta, d) the pullback of the c2 form is the c1
+    form F1 times X_{i'}^-delta (-u_{j'})^-d.  With the pullback written
+    N / D, the check is the polynomial identity
+    N X_{i'}^delta (-u_{j'})^d = D F1.
     """
-    t = _chart_maps(c1, c2, c1.substitution())
+    sub = c1.substitution()
+    t = _chart_maps(c1, c2, sub)
     F1 = chart_form(S, c1).poly
-    F2 = chart_form(S, c2).poly
-    N, D = transport_form(t, F2)
-    if not N:
-        return False
-    allowed = t.overlap_factors()
-    lhs = _peel(N, allowed)
-    rhs = _peel(D * F1, allowed)
-    return scalar_equal(lhs, rhs)
+    N, D = transport_form(t, chart_form(S, c2).poly)
+    delta, d = S.bidegree
+    return N * sub[f"X{c2.i}"] ** delta * (-sub[f"u{c2.j}"]) ** d == D * F1

@@ -847,40 +847,3 @@ def multivar_gcd(fs: Iterable[MultiPoly]) -> MultiPoly:
     _, prim = integer_primitive(g)
     return prim
 
-
-# -- exact linear algebra helper ---------------------------------------
-
-
-def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """One exact solution of rows * x = rhs, or None if inconsistent.
-
-    Free variables are set to zero.  Gaussian elimination over Fraction;
-    meant for the modest desk-scale systems used here.
-    """
-    m = len(rows)
-    ncols = len(rows[0]) if m else 0
-    aug = [row[:] + [rhs[k]] for k, row in enumerate(rows)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((t for t in range(r, m) if aug[t][c]), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for t in range(m):
-            if t != r and aug[t][c]:
-                factor = aug[t][c]
-                aug[t] = [x - factor * y for x, y in zip(aug[t], aug[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == m:
-            break
-    for t in range(r, m):
-        if aug[t][ncols]:
-            return None
-    x = [Fraction(0)] * ncols
-    for row, col in pivots:
-        x[col] = aug[row][ncols]
-    return x

@@ -3,9 +3,12 @@
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from webweave import contactgeom
+from webweave.cli import parse_input
 from webweave.contactgeom import (
     BiHomogPde,
     Chart,
@@ -23,8 +26,8 @@ from webweave.contactgeom import (
     transport_form,
     transport_point,
 )
-from webweave.contactgeom import _frame_data, _peel
-from webweave.polycore import MultiPoly, UsageError, VarTable, exact_divide, scalar_equal
+from webweave.contactgeom import _frame_data
+from webweave.polycore import MultiPoly, UsageError, VarTable, scalar_equal
 
 BI2 = VarTable.bihomog(2)
 U0, U1, U2 = (MultiPoly.var(BI2, f"u{k}") for k in range(3))
@@ -32,6 +35,7 @@ X0, X1, X2 = (MultiPoly.var(BI2, f"X{k}") for k in range(3))
 C02 = Chart(2, 0, 2)
 T02 = C02.table
 x1, x2, p1 = (MultiPoly.var(T02, n) for n in ("x1", "x2", "p1"))
+SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
 
 
 def corpus_n2():
@@ -93,18 +97,27 @@ def test_chart_form_p_degree_bounded():
 
 
 def test_chart_substitution_is_a_fresh_copy():
-    # both maps are built once per chart; a caller that edits the dict it
-    # got must not change what the next caller gets
+    # the map is built once per chart; a caller that edits the dict it got
+    # must not change what the next caller gets
     c = Chart(3, 1, 2)
-    sub, u = c.substitution(), c.u_values()
+    sub = c.substitution()
     forced = c.x(2) - c.p(0) * c.x(0) - c.p(3) * c.x(3)
-    assert u == {2: -1, 0: c.p(0), 3: c.p(3), 1: forced}
     assert sub == {"X1": 1, "X0": c.x(0), "X2": c.x(2), "X3": c.x(3),
-                   **{f"u{k}": v for k, v in u.items()}}
+                   "u2": -1, "u0": c.p(0), "u3": c.p(3), "u1": forced}
+    assert list(sub) == ["X1", "X0", "X2", "X3", "u2", "u0", "u3", "u1"]
     sub.clear()
-    u[1] = c.p(0)
-    assert c.substitution()["u1"] == c.u_values()[1] == forced
+    assert c.substitution()["u1"] == forced
     assert c == Chart(3, 1, 2) and hash(c) == hash(Chart(3, 1, 2))
+
+
+def test_chart_form_rejects_another_charts_table():
+    # p1^2 - x1 over chart (0,2)'s table is not a chart (0,1) form: read
+    # as one, it would re-homogenize to an equation whose (0,1) form is
+    # p2^2 - x1
+    with pytest.raises(UsageError):
+        ChartForm(Chart(2, 0, 1), p1**2 - x1)
+    with pytest.raises(UsageError):
+        ChartForm(Chart(3, 0, 2), p1**2 - x1)
 
 
 # -- homogenization ---------------------------------------------------------
@@ -135,6 +148,42 @@ def test_rehomogenize_rejects_weight_zero():
 def test_rehomogenize_infeasible_declared_bidegree():
     with pytest.raises(UsageError):
         rehomogenize(ChartForm(C02, p1**2 - x1), bidegree=(0, 2))
+
+
+def _random_chart_poly(rng, chart):
+    """A seeded polynomial over the chart's table, total degree <= 3 per term."""
+    width = len(chart.table.names)
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        e = [0] * width
+        for _ in range(rng.randint(0, 3)):
+            e[rng.randrange(width)] += 1
+        terms[tuple(e)] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 2))
+    return MultiPoly(chart.table, terms)
+
+
+@pytest.mark.parametrize("chart", [Chart(2, 0, 2), Chart(2, 1, 0), Chart(3, 0, 1), Chart(3, 2, 3)],
+                         ids=str)
+def test_rehomogenize_arbitrary_chart_polynomials(chart):
+    rng = random.Random(chart.n * 100 + chart.i * 10 + chart.j)
+    done = 0
+    while done < 8:
+        F = _random_chart_poly(rng, chart)
+        if F.group_degree("p") < 1:
+            continue
+        form = ChartForm(chart, F)
+        h = rehomogenize(form)
+        delta, d = h.bidegree
+        assert d == F.group_degree("p")
+        assert chart_form(h, chart).poly == F
+        # minimal: no equation one X-degree lower restricts to F
+        with pytest.raises(UsageError):
+            rehomogenize(form, bidegree=(delta - 1, d))
+        assert chart_form(rehomogenize(form, bidegree=(delta + 1, d + 1)), chart).poly == F
+        if d >= 2:
+            with pytest.raises(UsageError, match="no polynomial homogenization"):
+                rehomogenize(form, bidegree=(delta + 1, d - 1))
+        done += 1
 
 
 def test_round_trip_n2_corpus():
@@ -326,35 +375,47 @@ def test_covariance_all_pairs_corpus():
             assert covariance_check(S, c1, c2), (S.poly.to_string(), c1, c2)
 
 
-def _unit_powers_cofactor(f, peeled, x_unit, u_unit):
-    """Some (k, l) with f = c * peeled * x_unit^k * u_unit^l for a rational
-    c != 0, found by trying every power the degrees allow, else None."""
-    top = f.total_degree()
-    for k in range(top + 1):
-        for l in range(top // u_unit.total_degree() + 1):
-            if scalar_equal(f, peeled * x_unit ** k * u_unit ** l):
-                return k, l
-    return None
+def test_covariance_all_pairs_n3():
+    doc, _ = parse_input(str(SAMPLES / "mixed_n3.json"))
+    S = doc.pdes[0]
+    for c1, c2 in itertools.product(standard_atlas(3), repeat=2):
+        assert covariance_check(S, c1, c2), (c1, c2)
 
 
-def test_peel_strips_unit_powers():
-    rng = random.Random(77)
-    units = [transition(c1, c2).overlap_factors()
-             for c1, c2 in itertools.product(standard_atlas(3), repeat=2)
-             if c1.i != c2.i and c1.j != c2.j]
-    # x_{i'} is a monomial; keep pairs whose u_{j'} expression is not
-    units = [u for u in units if len(u[1].terms) > 1]
-    for x_unit, u_unit in rng.sample(units, 12):
-        table = x_unit.vars
-        for _ in range(3):
-            g = MultiPoly(table, {tuple(rng.randint(0, 2) for _ in table.names):
-                                  Fraction(rng.randint(1, 5), rng.randint(1, 3))
-                                  for _ in range(rng.randint(1, 4))})
-            f = g * x_unit ** rng.randint(0, 3) * u_unit ** rng.randint(0, 2)
-            for factors in ([x_unit, u_unit], [Fraction(3, 2) * x_unit, u_unit]):
-                peeled = _peel(f, factors)
-                assert all(exact_divide(peeled, a) is None for a in factors)
-                assert _unit_powers_cofactor(f, peeled, x_unit, u_unit) is not None
+def test_covariance_n4_stretch_pairs():
+    # the equations of perfbench/inputs/stretch_n4.json
+    bi4 = VarTable.bihomog(4)
+    X = [MultiPoly.var(bi4, f"X{k}") for k in range(5)]
+    u = [MultiPoly.var(bi4, f"u{k}") for k in range(5)]
+    web = [BiHomogPde(4, X[0] * u[1]**2 - X[1] * u[4]**2),
+           BiHomogPde(4, u[2]**2 - u[1] * u[4]),
+           BiHomogPde(4, u[3]**2 - u[2] * u[4])]
+    pairs = [(Chart(4, 0, 4), Chart(4, 2, 1)), (Chart(4, 3, 0), Chart(4, 1, 4)),
+             (Chart(4, 1, 2), Chart(4, 4, 3))]
+    for S in web:
+        for c1, c2 in pairs:
+            assert covariance_check(S, c1, c2), (S.poly.to_string(), c1, c2)
+
+
+@pytest.mark.parametrize("spoil", ["double", "negate", "overlap-unit", "other-equation"])
+def test_covariance_rejects_a_wrong_form(monkeypatch, spoil):
+    S = BiHomogPde(2, X0 * U1**2 - X1 * U2**2)
+    other = BiHomogPde(2, X0 * U1**2 + X1 * U2**2)
+    c1, c2 = Chart(2, 0, 2), Chart(2, 1, 0)
+    assert covariance_check(S, c1, c2)
+    honest = contactgeom.chart_form
+
+    def spoiled(eq, chart):
+        F = honest(eq, chart).poly
+        if chart == c2:
+            # x_{c1.i} = X0/X1 is a unit on the overlap, yet no chart form
+            # of S carries it: the cocycle fixes the factor exactly
+            F = {"double": 2 * F, "negate": -F, "overlap-unit": F * chart.x(c1.i),
+                 "other-equation": honest(other, chart).poly}[spoil]
+        return ChartForm(chart, F)
+
+    monkeypatch.setattr(contactgeom, "chart_form", spoiled)
+    assert not covariance_check(S, c1, c2)
 
 
 def test_covariance_negative_control():
