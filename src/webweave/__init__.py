@@ -57,7 +57,6 @@ from .polycore import (
     partial_derivative,
     poly_adjugate,
     poly_det,
-    resultant,
     scalar_equal,
     substitute,
 )

@@ -208,7 +208,7 @@ def normal_form(f: MultiPoly, basis, order: MonomialOrder | None = None) -> Mult
     content, work = _integer_terms(f.terms)
     remainder, scale = _reduce(work, divisors, order.key)
     ratio = content / scale
-    return MultiPoly(f.vars, {e: ratio * c for e, c in remainder})
+    return MultiPoly._trusted(f.vars, {e: ratio * c for e, c in remainder})
 
 
 def s_polynomial(f: MultiPoly, g: MultiPoly, order: MonomialOrder = GREVLEX) -> MultiPoly:
@@ -216,7 +216,7 @@ def s_polynomial(f: MultiPoly, g: MultiPoly, order: MonomialOrder = GREVLEX) -> 
     if not f or not g:
         raise UsageError("zero polynomial has no leading term")
     fel, gel = _element(f.terms, order.key), _element(g.terms, order.key)
-    return MultiPoly(f.vars, _s_pair(fel, gel, 1 / fel[1], 1 / gel[1]))
+    return MultiPoly._trusted(f.vars, _s_pair(fel, gel, 1 / fel[1], 1 / gel[1]))
 
 
 def _lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -328,7 +328,8 @@ def buchberger(gens, order: MonomialOrder = GREVLEX,
     for t, (lead, lc, tail) in enumerate(minimal):
         remainder, _ = _reduce(dict(((lead, lc), *tail)), minimal[:t] + minimal[t + 1:], key)
         lead, lc = remainder[0]
-        reduced.append((key(lead), MultiPoly(table, {e: Fraction(c, lc) for e, c in remainder})))
+        reduced.append((key(lead), MultiPoly._trusted(
+            table, {e: Fraction(c, lc) for e, c in remainder})))
     reduced.sort(key=lambda kg: kg[0])
     return IdealBasis(tuple(g for _, g in reduced), order)
 

@@ -3,7 +3,7 @@
 Everything downstream (ideal computations, chart geometry, web verdicts)
 runs on this kernel: immutable sparse polynomials with Fraction
 coefficients over a fixed variable table, plus the derivative /
-substitution / determinant / resultant / gcd toolkit.  No floating
+substitution / determinant / gcd toolkit.  No floating
 point anywhere; all results are exact.
 """
 
@@ -66,6 +66,67 @@ def _integer_terms(terms: Mapping[tuple[int, ...], Fraction]) -> tuple[Fraction,
     if g != 1:
         ints = {e: c // g for e, c in ints.items()}
     return Fraction(g, denom), ints
+
+
+def _shift_terms(terms: dict, shift: tuple[int, ...], c: Fraction) -> dict:
+    """c * x^shift * terms on a canonical term dict.
+
+    Shifted monomials stay distinct and a nonzero c cancels no
+    coefficient, so the result is canonical; a zero shift or c = 1 skips
+    that step.
+    """
+    if any(shift):
+        if c == 1:
+            return {tuple(map(add, e, shift)): v for e, v in terms.items()}
+        return {tuple(map(add, e, shift)): v * c for e, v in terms.items()}
+    if c == 1:
+        return dict(terms)
+    return {e: v * c for e, v in terms.items()}
+
+
+def _mul_terms(a: dict, b: dict) -> dict:
+    """Product of two canonical term dicts, a's terms in the outer loop.
+
+    A one-term operand is applied as an exponent shift and a coefficient
+    scale (``_shift_terms``); the result's term order is the same as the
+    full double loop would give.
+    """
+    if len(b) == 1:
+        ((e, c),) = b.items()
+        return _shift_terms(a, e, c)
+    if len(a) == 1:
+        ((e, c),) = a.items()
+        return _shift_terms(b, e, c)
+    out: dict[tuple[int, ...], Fraction] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            v = out.get(e)
+            if v is None:
+                out[e] = c1 * c2
+            else:
+                v += c1 * c2
+                if v:
+                    out[e] = v
+                else:
+                    del out[e]
+    return out
+
+
+def _add_into(out: dict, terms: dict, op=add) -> dict:
+    """out += terms (or out -= terms with ``op=sub``) on canonical term
+    dicts, in place; a cancelled monomial is deleted.  Returns out."""
+    for e, c in terms.items():
+        v = out.get(e)
+        if v is None:
+            out[e] = c if op is add else -c
+        else:
+            v = op(v, c)
+            if v:
+                out[e] = v
+            else:
+                del out[e]
+    return out
 
 
 @dataclass(frozen=True)
@@ -165,6 +226,20 @@ class MultiPoly:
     def __setattr__(self, *a):  # pragma: no cover - guard only
         raise AttributeError("MultiPoly is immutable")
 
+    @classmethod
+    def _trusted(cls, vars: VarTable, terms: dict[tuple[int, ...], Fraction]) -> "MultiPoly":
+        """Wrap a term dict that is already canonical, without checking it.
+
+        Only for kernel producers that guarantee the form ``__init__``
+        checks: exponent tuples of the table's width with non-negative
+        int entries, and nonzero Fraction coefficients.  The dict is
+        taken over, not copied.
+        """
+        self = object.__new__(cls)
+        _set_vars(self, vars)
+        _set_terms(self, terms)
+        return self
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -189,45 +264,28 @@ class MultiPoly:
 
     def _coerce(self, other) -> "MultiPoly":
         if isinstance(other, MultiPoly):
-            if other.vars != self.vars:
+            if other.vars is not self.vars and other.vars != self.vars:
                 raise UsageError("operands live over different variable tables")
             return other
         return MultiPoly.const(self.vars, other)
 
     def __add__(self, other) -> "MultiPoly":
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = out.get(exps, Fraction(0)) + c
-            if s:
-                out[exps] = s
-            else:
-                out.pop(exps, None)
-        return MultiPoly(self.vars, out)
+        return MultiPoly._trusted(self.vars, _add_into(dict(self.terms), self._coerce(other).terms))
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "MultiPoly":
-        return self + (-self._coerce(other))
+        return MultiPoly._trusted(self.vars,
+                                  _add_into(dict(self.terms), self._coerce(other).terms, sub))
 
     def __rsub__(self, other) -> "MultiPoly":
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "MultiPoly":
-        other = self._coerce(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return MultiPoly(self.vars, out)
+        return MultiPoly._trusted(self.vars, _mul_terms(self.terms, self._coerce(other).terms))
 
     __rmul__ = __mul__
 
@@ -292,16 +350,14 @@ class MultiPoly:
         for e, c in self.terms.items():
             rest = tuple(0 if t == k else x for t, x in enumerate(e))
             out.setdefault(e[k], {})[rest] = c
-        return {d: MultiPoly(self.vars, t) for d, t in out.items()}
+        return {d: MultiPoly._trusted(self.vars, t) for d, t in out.items()}
 
     def derivative(self, name: str) -> "MultiPoly":
         k = self.vars.index(name)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self.terms.items():
-            if e[k]:
-                e2 = tuple(x - 1 if t == k else x for t, x in enumerate(e))
-                out[e2] = out.get(e2, Fraction(0)) + c * e[k]
-        return MultiPoly(self.vars, out)
+        # lowering the k-th exponent keeps distinct monomials distinct
+        return MultiPoly._trusted(self.vars, {
+            e[:k] + (e[k] - 1,) + e[k + 1:]: c if e[k] == 1 else c * e[k]
+            for e, c in self.terms.items() if e[k]})
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
         vals = [None] * len(self.vars.names)
@@ -349,6 +405,11 @@ class MultiPoly:
     def __repr__(self) -> str:
         return f"MultiPoly({self.to_string()})"
 
+
+# the slot setters, bypassing the immutability guard at a fraction of the
+# cost of object.__setattr__ (``MultiPoly._trusted`` runs once per product)
+_set_vars = MultiPoly.vars.__set__
+_set_terms = MultiPoly.terms.__set__
 
 # -- module-level operations (the kernel API) --------------------------
 
@@ -415,22 +476,23 @@ def substitute(
     same_table = out_table == f.vars
 
     # factors[k][e] = num^e * den^(deg - e) for the mapped variable at index
-    # k, built once: every mapped variable contributes den^(deg - e), also
-    # when e = 0, so all terms share the cleared denominator D
-    one = MultiPoly.const(out_table, 1)
-    factors: dict[int, list[MultiPoly]] = {}
+    # k, built once as a term dict: every mapped variable contributes
+    # den^(deg - e), also when e = 0, so all terms share the cleared
+    # denominator D
+    width = len(out_table.names)
+    one = {(0,) * width: Fraction(1)}
+    factors: dict[int, list[dict]] = {}
     clear = one
     for name, (num, den) in pairs.items():
         d = f.degree_in(name)
         npows, dpows = [one], [one]
         for _ in range(d):
-            npows.append(npows[-1] * num)
-            dpows.append(dpows[-1] * den)
+            npows.append(_mul_terms(npows[-1], num.terms))
+            dpows.append(_mul_terms(dpows[-1], den.terms))
         factors[f.vars.index(name)] = (
-            npows if den == 1 else [npows[e] * dpows[d - e] for e in range(d + 1)])
-        clear = clear * dpows[d]
+            npows if den == 1 else [_mul_terms(npows[e], dpows[d - e]) for e in range(d + 1)])
+        clear = _mul_terms(clear, dpows[d])
 
-    width = len(out_table.names)
     out: dict[tuple[int, ...], Fraction] = {}
     for exps, c in f.terms.items():
         carried = [0] * width
@@ -439,16 +501,11 @@ def substitute(
                 if not same_table:
                     raise UsageError(f"variable {f.vars.names[k]!r} is not mapped")
                 carried[k] = e
-        part = MultiPoly.monomial(out_table, carried, c)
+        part = {tuple(carried): c}
         for k, fac in factors.items():
-            part = part * fac[exps[k]]
-        for e, v in part.terms.items():
-            s = out.get(e, 0) + v
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-    return MultiPoly(out_table, out), clear
+            part = _mul_terms(part, fac[exps[k]])
+        _add_into(out, part)
+    return MultiPoly._trusted(out_table, out), MultiPoly._trusted(out_table, clear)
 
 
 def scalar_equal(f: MultiPoly, g: MultiPoly) -> bool:
@@ -492,7 +549,7 @@ def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly | None:
             if min(qe) < 0:
                 return None
             shifted[qe] = c / gc
-        return MultiPoly(f.vars, shifted)
+        return MultiPoly._trusted(f.vars, shifted)
     fcont, work = _integer_terms(f.terms)
     gcont, gint = _integer_terms(g.terms)
     ge = max(gint, key=_grevlex_key)
@@ -513,7 +570,7 @@ def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly | None:
         quot[qe] = qc
         _subtract_shifted(work, heap, _grevlex_key, tail, qe, qc)
     ratio = fcont / gcont
-    return MultiPoly(f.vars, {e: ratio * c for e, c in quot.items()})
+    return MultiPoly._trusted(f.vars, {e: ratio * c for e, c in quot.items()})
 
 
 def integer_primitive(f: MultiPoly) -> tuple[Fraction, MultiPoly]:
@@ -528,7 +585,7 @@ def integer_primitive(f: MultiPoly) -> tuple[Fraction, MultiPoly]:
     if ints[max(ints, key=_grevlex_key)] < 0:
         content = -content
         ints = {e: -c for e, c in ints.items()}
-    return content, MultiPoly(f.vars, ints)
+    return content, MultiPoly._trusted(f.vars, {e: Fraction(c) for e, c in ints.items()})
 
 
 # -- polynomial matrices ----------------------------------------------
@@ -647,35 +704,6 @@ def poly_adjugate(M: PolyMatrix) -> PolyMatrix:
             cof = _det(minor, M.table)
             out[c][r] = cof if (r + c) % 2 == 0 else -cof
     return PolyMatrix.from_rows(out)
-
-
-def resultant(f: MultiPoly, g: MultiPoly, v: str) -> MultiPoly:
-    """Sylvester resultant with respect to v.
-
-    Vanishes at every common zero of f and g.  If one operand is constant
-    in v, the result is that operand raised to the other's v-degree.
-    """
-    if not f and not g:
-        raise UsageError("resultant of two zero polynomials")
-    if f.vars != g.vars:
-        raise UsageError("operands live over different variable tables")
-    m, k = f.degree_in(v), g.degree_in(v)
-    if m == 0 and k == 0:
-        return MultiPoly.const(f.vars, 1)
-    if m == 0:
-        return f ** k
-    if k == 0:
-        return g ** m
-    fc, gc = f.collect(v), g.collect(v)
-    zero = MultiPoly.zero(f.vars)
-    rows = []
-    frow = [fc.get(m - t, zero) for t in range(m + 1)]
-    grow = [gc.get(k - t, zero) for t in range(k + 1)]
-    for shift in range(k):
-        rows.append([zero] * shift + frow + [zero] * (k - 1 - shift))
-    for shift in range(m):
-        rows.append([zero] * shift + grow + [zero] * (m - 1 - shift))
-    return poly_det(PolyMatrix.from_rows(rows))
 
 
 # -- multivariate gcd (primitive PRS) ----------------------------------

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from webweave.polycore import MultiPoly
+from webweave.polycore import MultiPoly, PolyMatrix, UsageError, poly_det
 
 
 def monomials_up_to(table, bound):
@@ -52,6 +52,35 @@ def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fracti
     for row, col in pivots:
         x[col] = aug[row][ncols]
     return x
+
+
+def resultant(f: MultiPoly, g: MultiPoly, v: str) -> MultiPoly:
+    """Sylvester resultant with respect to v.
+
+    Vanishes at every common zero of f and g.  If one operand is constant
+    in v, the result is that operand raised to the other's v-degree.
+    """
+    if not f and not g:
+        raise UsageError("resultant of two zero polynomials")
+    if f.vars != g.vars:
+        raise UsageError("operands live over different variable tables")
+    m, k = f.degree_in(v), g.degree_in(v)
+    if m == 0 and k == 0:
+        return MultiPoly.const(f.vars, 1)
+    if m == 0:
+        return f ** k
+    if k == 0:
+        return g ** m
+    fc, gc = f.collect(v), g.collect(v)
+    zero = MultiPoly.zero(f.vars)
+    rows = []
+    frow = [fc.get(m - t, zero) for t in range(m + 1)]
+    grow = [gc.get(k - t, zero) for t in range(k + 1)]
+    for shift in range(k):
+        rows.append([zero] * shift + frow + [zero] * (k - 1 - shift))
+    for shift in range(m):
+        rows.append([zero] * shift + grow + [zero] * (m - 1 - shift))
+    return poly_det(PolyMatrix.from_rows(rows))
 
 
 def macaulay_certificate(f, gens, bound):

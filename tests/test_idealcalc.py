@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import from_sympy, macaulay_certificate, macaulay_member, to_sympy
+from oracles import from_sympy, macaulay_certificate, macaulay_member, resultant, to_sympy
 from webweave import idealcalc, polycore
 from webweave.cli import parse_input
 from webweave.contactgeom import standard_atlas, transition
@@ -27,7 +27,6 @@ from webweave.polycore import (
     MultiPoly,
     VarTable,
     partial_derivative,
-    resultant,
     scalar_equal,
 )
 from webweave.webanalysis import chart_web_data

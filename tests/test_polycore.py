@@ -1,5 +1,7 @@
 """Kernel arithmetic: exactness, derived-value examples, and ring laws."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -7,7 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import from_sympy, to_sympy
+from oracles import from_sympy, resultant, to_sympy
+from test_cli import REPORT_DIGESTS, SAMPLES, _without_input
+from webweave.cli import COMMANDS, main, parse_input
+from webweave.contactgeom import covariance_check, standard_atlas, transition
 from webweave.idealcalc import ideal_member
 from webweave.polycore import (
     MultiPoly,
@@ -21,7 +26,6 @@ from webweave.polycore import (
     partial_derivative,
     poly_adjugate,
     poly_det,
-    resultant,
     scalar_equal,
     substitute,
 )
@@ -63,6 +67,35 @@ def test_mismatched_tables_rejected():
     other = VarTable.chart(2, 0, 1)
     with pytest.raises(UsageError):
         X1 + MultiPoly.var(other, "x1")
+
+
+# -- the public constructor's checks ------------------------------------
+
+
+def test_constructor_rejects_wrong_width():
+    with pytest.raises(UsageError, match="length"):
+        MultiPoly(T, {(1, 0): 1})
+    with pytest.raises(UsageError, match="length"):
+        MultiPoly(T, {(0, 0, 0): 1, (1, 0, 0, 0): 2})
+
+
+def test_constructor_rejects_negative_exponent():
+    with pytest.raises(UsageError, match="negative exponent"):
+        MultiPoly(T, {(1, -1, 0): 1})
+
+
+def test_constructor_rejects_float_coefficient():
+    with pytest.raises(UsageError, match="exact rationals"):
+        MultiPoly(T, {(1, 0, 0): 0.5})
+    with pytest.raises(UsageError, match="exact rationals"):
+        X1 * 0.5
+
+
+def test_constructor_drops_zero_coefficients():
+    f = MultiPoly(T, {(1, 0, 0): 0, (0, 1, 0): Fraction(0), (0, 0, 1): 2})
+    assert f.terms == {(0, 0, 1): Fraction(2)}
+    assert all(type(c) is Fraction for c in f.terms.values())
+    assert not MultiPoly(T, {(2, 0, 0): 0})
 
 
 small = st.integers(min_value=-4, max_value=4)
@@ -460,3 +493,158 @@ def test_scalar_equal():
     assert scalar_equal(2 * X1 + 2, X1 + 1)
     assert not scalar_equal(X1 + 1, X1 - 1)
     assert scalar_equal(MultiPoly.zero(T), MultiPoly.zero(T))
+
+
+# -- kernel operations against sympy ------------------------------------
+
+
+def _rand_operand(rng, table, kind, max_exp=2):
+    """A zero, constant, one-term or multi-term polynomial with rational
+    coefficients; one-term operands have coefficient 1 half the time."""
+    width = len(table.names)
+    scales = (Fraction(1), Fraction(-1), Fraction(2, 3), Fraction(-5, 2), Fraction(7))
+    if kind == "zero":
+        return MultiPoly.zero(table)
+    if kind == "const":
+        return MultiPoly.const(table, rng.choice(scales[1:]))
+    if kind == "monomial":
+        return MultiPoly.monomial(table, [rng.randint(0, max_exp) for _ in range(width)],
+                                  rng.choice(scales[:1] * 4 + scales))
+    return _multi_term_poly(rng, table, max_terms=4, max_exp=max_exp) * rng.choice(scales)
+
+
+OPERAND_KINDS = ("zero", "const", "monomial", "monomial", "multi", "multi")
+
+
+@pytest.mark.parametrize("table", [T, VarTable.bihomog(2)], ids=["3vars", "6vars"])
+def test_kernel_ops_match_sympy(table):
+    # one-term operands take the shift path of the product; a - a, a + (-a)
+    # and (a + b) * (a - b) cancel terms, and a product by zero is empty
+    sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols(table.names)
+    rng = random.Random(47)
+
+    def check(got, expr):
+        want = from_sympy(sympy, sympy.Poly(sympy.expand(expr), *syms, domain="QQ"), table)
+        assert got == want and got.terms == want.terms, (got, want)
+        assert all(type(c) is Fraction and c for c in got.terms.values())
+
+    for _ in range(30):
+        a, b = (_rand_operand(rng, table, rng.choice(OPERAND_KINDS)) for _ in range(2))
+        A, B = (to_sympy(sympy, f, syms) for f in (a, b))
+        check(a * b, A * B)
+        check(b * a, A * B)
+        check(a + b, A + B)
+        check(a - b, A - B)
+        check(-a, -A)
+        check(a * 1, A)
+        check((a + b) * (a - b), A**2 - B**2)
+        assert not a - a and not a + (-a)
+        for v, sym in zip(table.names, syms):
+            check(a.derivative(v), sympy.diff(A, sym))
+        m = _rand_operand(rng, table, "monomial")
+        for f in (a * m, a):
+            got = exact_divide(f, m)
+            q, r = sympy.div(to_sympy(sympy, f, syms), to_sympy(sympy, m, syms), *syms)
+            if r == 0:
+                check(got, q)
+            else:
+                assert got is None
+
+
+@pytest.mark.parametrize("same_table", [True, False], ids=["same-table", "other-table"])
+def test_substitute_matches_sympy(same_table):
+    # values with den = 1 (polynomials, some of one term) and rational
+    # values with one-term and multi-term denominators; on the same table
+    # some variables stay unmapped and are carried through, on the other
+    # table every variable is mapped (one-term and linear values, so that
+    # sympy's cancellation stays quick)
+    sympy = pytest.importorskip("sympy")
+    source = T if same_table else VarTable.bihomog(2)
+    src_syms = sympy.symbols(source.names)
+    syms = sympy.symbols(T.names)
+    rng = random.Random(53)
+    for k in range(20):
+        f = _rand_operand(rng, source, rng.choice(OPERAND_KINDS[1:]), 2 if same_table else 1)
+        names = rng.sample(source.names, 2) if same_table else source.names
+        mapping = {}
+        for v in names:
+            kinds = ("const", "monomial", "multi") if same_table or k % 2 else ("monomial",)
+            num = _rand_operand(rng, T, rng.choice(kinds), 2 if same_table else 1)
+            style = rng.randrange(3)
+            if style == 0:
+                mapping[v] = num
+            else:
+                den = _rand_operand(rng, T, "monomial" if style == 1 else "multi", 1)
+                mapping[v] = (num, den)
+        g, D = substitute(f, mapping, target=None if same_table else T)
+        pairs = {v: val if isinstance(val, tuple) else (val, MultiPoly.const(T, 1))
+                 for v, val in mapping.items()}
+        want_D = sympy.Integer(1)
+        image = {}
+        for v, (num, den) in pairs.items():
+            sym = src_syms[source.names.index(v)]
+            image[sym] = to_sympy(sympy, num, syms) / to_sympy(sympy, den, syms)
+            want_D *= to_sympy(sympy, den, syms) ** f.degree_in(v)
+        F = to_sympy(sympy, f, src_syms).subs(image, simultaneous=True)
+        assert sympy.expand(to_sympy(sympy, D, syms) - want_D) == 0
+        want_g = from_sympy(sympy, sympy.Poly(sympy.cancel(want_D * F), *syms, domain="QQ"), T)
+        assert g.terms == want_g.terms, (f, mapping)
+        assert all(type(c) is Fraction and c for c in g.terms.values())
+
+
+# -- the unchecked constructor keeps the canonical form -----------------
+
+
+def _canonical_violation(vars, terms):
+    """Why ``terms`` is not in the form the public constructor produces."""
+    width = len(vars.names)
+    for e, c in terms.items():
+        if type(e) is not tuple or len(e) != width:
+            return f"exponent vector {e!r} for {width} variables"
+        if any(type(x) is not int or x < 0 for x in e):
+            return f"exponent vector {e!r}"
+        if type(c) is not Fraction or not c:
+            return f"coefficient {c!r}"
+    return None
+
+
+def test_trusted_construction_keeps_canonical_form(monkeypatch, capsys):
+    # every result the kernel wraps without checking goes through the full
+    # check here, across all CLI commands on the samples, every chart
+    # transition at n = 2, 3 and a covariance sweep; the reports must stay
+    # byte-identical to the recorded ones
+    trusted = MultiPoly.__dict__["_trusted"].__func__
+    violations, built = [], [0]
+
+    def checked(cls, vars, terms):
+        built[0] += 1
+        why = _canonical_violation(vars, terms)
+        if why:
+            violations.append(why)
+        return trusted(cls, vars, terms)
+
+    def snapshot(t):
+        return [(name, list(f.num.terms.items()), list(f.den.terms.items()))
+                for name, f in t.maps.items()]
+
+    reference = {n: [snapshot(transition(a, b)) for a in standard_atlas(n)
+                     for b in standard_atlas(n) if a != b] for n in (2, 3)}
+    monkeypatch.setattr(MultiPoly, "_trusted", classmethod(checked))
+
+    recorded = json.loads(REPORT_DIGESTS.read_text(encoding="utf-8"))
+    for path in sorted(SAMPLES.glob("*.json")):
+        for command in COMMANDS:
+            code = main([command, str(path)])
+            out = _without_input(capsys.readouterr().out, [])
+            key = f"{command} {path.name}"
+            assert [code, hashlib.sha256(out.encode("utf-8")).hexdigest()] == recorded[key], key
+    for n in (2, 3):
+        got = [snapshot(transition(a, b)) for a in standard_atlas(n)
+               for b in standard_atlas(n) if a != b]
+        assert got == reference[n]
+    S = parse_input(str(SAMPLES / "mixed_n3.json"))[0].pdes[0]
+    atlas = standard_atlas(3)
+    assert all(covariance_check(S, a, b) for a in atlas for b in atlas)
+    assert not violations, violations[:5]
+    assert built[0] > 10_000
