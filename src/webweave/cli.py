@@ -41,16 +41,17 @@ class InputError(ValueError):
 
 
 class InputDocument:
-    def __init__(self, n: int, pdes: list[BiHomogPde]):
+    def __init__(self, n: int, pdes: list[BiHomogPde], pair_cap: int = DEFAULT_PAIR_CAP):
         self.n = n
         self.pdes = pdes
+        self.pair_cap = pair_cap
 
     def web(self) -> CiWeb:
         if len(self.pdes) != self.n - 1:
             raise InputError(
                 f"web commands need exactly {self.n - 1} equations for n={self.n}, "
                 f"got {len(self.pdes)}")
-        return CiWeb(self.n, tuple(self.pdes))
+        return CiWeb(self.n, tuple(self.pdes), self.pair_cap)
 
 
 def _is_int(v) -> bool:
@@ -88,7 +89,7 @@ def _term_to_poly(n: int, terms, which: int) -> MultiPoly:
     return MultiPoly(table, acc)
 
 
-def parse_document(data) -> InputDocument:
+def parse_document(data, pair_cap: int = DEFAULT_PAIR_CAP) -> InputDocument:
     if not isinstance(data, dict):
         raise InputError("top-level value must be an object")
     n = data.get("n")
@@ -108,10 +109,10 @@ def parse_document(data) -> InputDocument:
             pdes.append(BiHomogPde(n, poly))
         except UsageError as exc:
             raise InputError(f"pde {k}: {exc}") from exc
-    return InputDocument(n, pdes)
+    return InputDocument(n, pdes, pair_cap)
 
 
-def parse_input(path: str) -> tuple[InputDocument, str]:
+def parse_input(path: str, pair_cap: int = DEFAULT_PAIR_CAP) -> tuple[InputDocument, str]:
     try:
         with open(path, "rb") as f:
             blob = f.read()
@@ -124,7 +125,7 @@ def parse_input(path: str) -> tuple[InputDocument, str]:
         # integer literal past the interpreter's digit limit, and
         # RecursionError for arrays or objects nested too deeply
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
-    return parse_document(data), hashlib.sha256(blob).hexdigest()
+    return parse_document(data, pair_cap), hashlib.sha256(blob).hexdigest()
 
 
 # -- serialization helpers ----------------------------------------------
@@ -181,7 +182,7 @@ def _charts_arg(doc: InputDocument, chart_opts) -> tuple[Chart, ...] | None:
     return tuple(charts)
 
 
-def _bidegree(doc: InputDocument, charts, pair_cap: int) -> dict:
+def _bidegree(doc: InputDocument, charts) -> dict:
     body = {"pdes": [{"bidegree": list(p.bidegree), "algebraic": is_algebraic_pde(p)}
                      for p in doc.pdes]}
     if len(doc.pdes) == doc.n - 1:
@@ -192,13 +193,13 @@ def _bidegree(doc: InputDocument, charts, pair_cap: int) -> dict:
     return body
 
 
-def _chart_form(doc: InputDocument, charts, pair_cap: int) -> dict:
+def _chart_form(doc: InputDocument, charts) -> dict:
     atlas = webanalysis.atlas(doc.n, charts)
     return {"pdes": [{"forms": [{"chart": _chart_id(c), "F": str(chart_form(p, c).poly)}
                                 for c in atlas]} for p in doc.pdes]}
 
 
-def _dual(doc: InputDocument, charts, pair_cap: int) -> dict:
+def _dual(doc: InputDocument, charts) -> dict:
     out = []
     for k, p in enumerate(doc.pdes):
         try:
@@ -209,11 +210,11 @@ def _dual(doc: InputDocument, charts, pair_cap: int) -> dict:
     return {"pdes": out}
 
 
-def _critical(doc: InputDocument, charts, pair_cap: int) -> dict:
+def _critical(doc: InputDocument, charts) -> dict:
     w = doc.web()
     out = []
     for c in webanalysis.atlas(doc.n, charts):
-        data = webanalysis.chart_web_data(w, c, pair_cap)
+        data = webanalysis.chart_web_data(w, c)
         entry = {"chart": _chart_id(c), "degenerate": data.degenerate,
                  "critical_det": str(data.critical_det)}
         if data.critical_basis is not None:
@@ -222,27 +223,27 @@ def _critical(doc: InputDocument, charts, pair_cap: int) -> dict:
     return {"charts": out}
 
 
-def _caustic(doc: InputDocument, charts, pair_cap: int) -> dict:
+def _caustic(doc: InputDocument, charts) -> dict:
     w = doc.web()
     return {"charts": [
         {"chart": _chart_id(c),
-         "generators": [str(g) for g in webanalysis.caustic_generators(w, c, pair_cap)]}
+         "generators": [str(g) for g in webanalysis.caustic_generators(w, c)]}
         for c in webanalysis.atlas(doc.n, charts)]}
 
 
-def _algebraic(doc: InputDocument, charts, pair_cap: int) -> dict:
+def _algebraic(doc: InputDocument, charts) -> dict:
     w = doc.web()
     return {"algebraic": webanalysis.is_algebraic_web(w),
             "multidegree": list(webanalysis.multidegree(w))}
 
 
-def _chern(doc: InputDocument, charts, pair_cap: int) -> dict:
+def _chern(doc: InputDocument, charts) -> dict:
     n = doc.n
     return {"chern_T": [str(cohomcalc.chern_T(n, j)) for j in range(n + 1)],
             "top_class_vanishes": not cohomcalc.nf(cohomcalc.chern_T(n, n))}
 
 
-def _bott(doc: InputDocument, charts, pair_cap: int) -> dict:
+def _bott(doc: InputDocument, charts) -> dict:
     w = doc.web()
     N, bott, bridge = webanalysis.bott_bridge(webanalysis.multidegree_data(w))
     return {"weight": webanalysis.weight(w), "multidegree": list(webanalysis.multidegree(w)),
@@ -250,8 +251,8 @@ def _bott(doc: InputDocument, charts, pair_cap: int) -> dict:
             "bott_equals_weight_times_script_N": bridge}
 
 
-def _certify(doc: InputDocument, charts, pair_cap: int) -> dict:
-    rep = webanalysis.certify_algebraicity(doc.web(), pair_cap)
+def _certify(doc: InputDocument, charts) -> dict:
+    rep = webanalysis.certify_algebraicity(doc.web())
     return {
         "weight": rep.weight,
         "multidegree": list(rep.multidegree),
@@ -270,22 +271,22 @@ def _certify(doc: InputDocument, charts, pair_cap: int) -> dict:
     }
 
 
-# Each command's report body from (document, requested charts or None, pair
-# cap), in the order of the usage message.
+# Each command's report body from (document, requested charts or None), in
+# the order of the usage message.
 _COMMAND_TABLE = {
     "bidegree": _bidegree,
     "chart-form": _chart_form,
     "dual": _dual,
-    "linearizable": lambda doc, charts, pair_cap: {"pdes": [
-        _verdict_dict(webanalysis.is_linearizable_pde(p, charts, pair_cap)) for p in doc.pdes]},
+    "linearizable": lambda doc, charts: {"pdes": [
+        _verdict_dict(webanalysis.is_linearizable_pde(p, charts)) for p in doc.pdes]},
     "critical": _critical,
     "caustic": _caustic,
-    "dicritical": lambda doc, charts, pair_cap: _verdict_dict(
-        webanalysis.is_dicritical(doc.web(), charts, pair_cap)),
-    "hyperdicritical": lambda doc, charts, pair_cap: _verdict_dict(
-        webanalysis.is_hyperdicritical(doc.web(), charts, pair_cap)),
-    "smooth": lambda doc, charts, pair_cap: _verdict_dict(
-        webanalysis.smoothness_chart_check(doc.web(), charts, pair_cap)),
+    "dicritical": lambda doc, charts: _verdict_dict(
+        webanalysis.is_dicritical(doc.web(), charts)),
+    "hyperdicritical": lambda doc, charts: _verdict_dict(
+        webanalysis.is_hyperdicritical(doc.web(), charts)),
+    "smooth": lambda doc, charts: _verdict_dict(
+        webanalysis.smoothness_chart_check(doc.web(), charts)),
     "algebraic": _algebraic,
     "chern": _chern,
     "bott": _bott,
@@ -294,11 +295,11 @@ _COMMAND_TABLE = {
 COMMANDS = tuple(_COMMAND_TABLE)
 
 
-def run(command: str, doc: InputDocument, charts, pair_cap: int) -> dict:
+def run(command: str, doc: InputDocument, charts) -> dict:
     """Dispatch one command; returns the body of the report."""
     if command not in _COMMAND_TABLE:
         raise InputError(f"unknown command {command!r}")
-    return _COMMAND_TABLE[command](doc, charts, pair_cap)
+    return _COMMAND_TABLE[command](doc, charts)
 
 
 def _render_text(report: dict, indent: str = "") -> str:
@@ -340,9 +341,9 @@ def main(argv=None) -> int:
         print("error: WEAVE_PAIR_CAP must be an integer >= 0", file=sys.stderr)
         return EXIT_INPUT
     try:
-        doc, digest = parse_input(args.input)
+        doc, digest = parse_input(args.input, pair_cap)
         charts = _charts_arg(doc, args.chart)
-        body = run(args.command, doc, charts, pair_cap)
+        body = run(args.command, doc, charts)
     except (InputError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

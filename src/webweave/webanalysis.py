@@ -12,7 +12,7 @@ in every chart is rejected.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
@@ -27,10 +27,14 @@ from .polycore import MultiPoly, PolyMatrix, UsageError, multivar_gcd, \
 
 @dataclass(frozen=True)
 class CiWeb:
-    """A complete-intersection web: n-1 equations on P_n."""
+    """A complete-intersection web: n-1 equations on P_n, and the analysis
+    session of its verdicts: they run under ``pair_cap`` and share one
+    package per chart, built on first use (``chart_web_data``)."""
 
     n: int
     pdes: tuple[BiHomogPde, ...]
+    pair_cap: int = DEFAULT_PAIR_CAP
+    _charts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -159,7 +163,8 @@ def _input_warnings(data: ChartWebData) -> list[str]:
     out = []
     chart = data.chart
     for k, F in enumerate(data.forms):
-        if any(not multivar_gcd([F, d]).is_constant() for d in data.jacobian.row(k) if d):
+        # in characteristic 0, a non-constant gcd(F, every partial) is a repeated factor
+        if not multivar_gcd([F, *data.jacobian.row(k)]).is_constant():
             out.append(f"chart ({chart.i},{chart.j}): equation {k + 1} may be "
                        "non-reduced (shares a factor with a partial derivative)")
         coeffs = _p_coefficients(chart, F)
@@ -180,11 +185,15 @@ def _p_coefficients(chart: Chart, F: MultiPoly) -> list[MultiPoly]:
     return [MultiPoly(table, t) for t in buckets.values()]
 
 
-def chart_web_data(w: CiWeb, chart: Chart,
-                   pair_cap: int = DEFAULT_PAIR_CAP) -> ChartWebData:
+def chart_web_data(w: CiWeb, chart: Chart) -> ChartWebData:
+    """The web's package for ``chart``, built on the first request."""
     if chart.n != w.n:
         raise UsageError("chart dimension does not match the web")
-    return ChartWebData(chart, tuple(chart_form(p, chart).poly for p in w.pdes), pair_cap)
+    data = w._charts.get(chart)
+    if data is None:
+        data = w._charts[chart] = ChartWebData(
+            chart, tuple(chart_form(p, chart).poly for p in w.pdes), w.pair_cap)
+    return data
 
 
 @dataclass(frozen=True)
@@ -206,11 +215,8 @@ class WebVerdict:
 
 
 def _aggregate(per_chart: list[ChartVerdict], warnings=(), extra=()) -> WebVerdict:
-    live = [v for v in per_chart if v.status != "degenerate"]
-    if not live:
-        raise UsageError("web violates covering condition: critical determinant "
-                         "vanishes identically in every chart")
-    agg = all(v.status == "true" for v in live)
+    """Conjunction over the live charts: degenerate ones are skipped."""
+    agg = all(v.status != "false" for v in per_chart)
     return WebVerdict(agg, tuple(per_chart), tuple(dict.fromkeys(warnings)), tuple(extra))
 
 
@@ -219,7 +225,7 @@ def atlas(n: int, charts) -> tuple[Chart, ...]:
     return tuple(charts) if charts else standard_atlas(n)
 
 
-def _critical_membership(w: CiWeb, charts, pair_cap: int, hyper: bool) -> WebVerdict:
+def _critical_membership(w: CiWeb, charts, hyper: bool) -> WebVerdict:
     """Per chart, test whether the nonzero entries of a matrix lie in the
     critical ideal (F_1..F_{n-1}, critical_det): the obstruction matrix,
     or with ``hyper`` the contact Jacobian, which is then also tested
@@ -228,7 +234,7 @@ def _critical_membership(w: CiWeb, charts, pair_cap: int, hyper: bool) -> WebVer
     per, warns = [], []
     on_web = True
     for chart in atlas(w.n, charts):
-        data = chart_web_data(w, chart, pair_cap)
+        data = chart_web_data(w, chart)
         warns.extend(data.warnings)
         if hyper:
             on_web = data.vanishes_on_web(data.contact_jacobian.entries) and on_web
@@ -238,61 +244,63 @@ def _critical_membership(w: CiWeb, charts, pair_cap: int, hyper: bool) -> WebVer
         matrix = data.contact_jacobian if hyper else data.obstruction()
         ok = all(not e or not normal_form(e, data.critical_basis) for e in matrix.entries)
         per.append(ChartVerdict(chart, "true" if ok else "false"))
+    if all(v.status == "degenerate" for v in per):
+        raise UsageError("critical determinant vanishes identically in every requested chart"
+                         if charts else "web violates covering condition: critical "
+                         "determinant vanishes identically in every chart")
     return _aggregate(per, warns, (("theta_vanishes_on_web", on_web),) if hyper else ())
 
 
-def is_dicritical(w: CiWeb, charts=None, pair_cap: int = DEFAULT_PAIR_CAP) -> WebVerdict:
+def is_dicritical(w: CiWeb, charts=None) -> WebVerdict:
     """The induced foliation extends across the critical scheme.
 
     Chart criterion: every entry of p_adjugate o contact_jacobian lies in
     the ideal (F_1..F_{n-1}, critical_det).
     """
-    return _critical_membership(w, charts, pair_cap, hyper=False)
+    return _critical_membership(w, charts, hyper=False)
 
 
-def is_hyperdicritical(w: CiWeb, charts=None, pair_cap: int = DEFAULT_PAIR_CAP) -> WebVerdict:
+def is_hyperdicritical(w: CiWeb, charts=None) -> WebVerdict:
     """Stronger variant: the contact-direction matrix itself vanishes on the
     critical scheme.  Also reports whether it already vanishes on all of
     the web (membership in (F_1..F_{n-1}) alone), as linear webs do in
     affine coordinates.
     """
-    return _critical_membership(w, charts, pair_cap, hyper=True)
+    return _critical_membership(w, charts, hyper=True)
 
 
-def is_linearizable_pde(S: BiHomogPde, charts=None,
-                        pair_cap: int = DEFAULT_PAIR_CAP) -> WebVerdict:
+def is_linearizable_pde(S: BiHomogPde, charts=None) -> WebVerdict:
     """Necessary linearizability condition: the contact directions are
     tangent to the hypersurface everywhere, i.e. dF/dx_a + p_a dF/dx_j
-    lies in the principal ideal (F) in every chart.
+    lies in the principal ideal (F) in every chart.  (F) has a one-element
+    basis, so no S-pair is reduced and no pair cap applies.
     """
     per = []
     for chart in atlas(S.n, charts):
-        data = ChartWebData(chart, (chart_form(S, chart).poly,), pair_cap)
+        data = ChartWebData(chart, (chart_form(S, chart).poly,))
         ok = data.vanishes_on_web(data.contact_jacobian.entries)
         per.append(ChartVerdict(chart, "true" if ok else "false"))
     return _aggregate(per)
 
 
-def smoothness_chart_check(w: CiWeb, charts=None,
-                           pair_cap: int = DEFAULT_PAIR_CAP) -> WebVerdict:
+def smoothness_chart_check(w: CiWeb, charts=None) -> WebVerdict:
     """Certify absence of singular points of the web chart by chart.
 
     The ideal of the equations plus all maximal minors of their full
     Jacobian is trivial iff the chart contains no singular point; all
     charts trivial certifies the web smooth (hence quasi-smooth).
     """
-    per = [ChartVerdict(chart, "true" if chart_web_data(w, chart, pair_cap).smooth else "false")
+    per = [ChartVerdict(chart, "true" if chart_web_data(w, chart).smooth else "false")
            for chart in atlas(w.n, charts)]
     return _aggregate(per)
 
 
-def caustic_generators(w: CiWeb, chart: Chart,
-                       pair_cap: int = DEFAULT_PAIR_CAP) -> list[MultiPoly]:
+def caustic_generators(w: CiWeb, chart: Chart) -> list[MultiPoly]:
     """Generators (in the chart's x-variables) of the caustic ideal:
     the p-variables eliminated from (F_1..F_{n-1}, critical_det)."""
-    data = chart_web_data(w, chart, pair_cap)
+    data = chart_web_data(w, chart)
     gens = list(data.forms) + [data.critical_det]
-    return eliminate(gens, "p", pair_cap)
+    return eliminate(gens, "p", w.pair_cap)
 
 
 @dataclass(frozen=True)
@@ -313,7 +321,7 @@ class CertificationReport:
     notes: tuple[str, ...]
 
 
-def certify_algebraicity(w: CiWeb, pair_cap: int = DEFAULT_PAIR_CAP) -> CertificationReport:
+def certify_algebraicity(w: CiWeb) -> CertificationReport:
     """Run the full battery and flag inconsistencies with the criterion
     "quasi-smooth + dicritical + weight >= 3 implies zero multi-degree".
 
@@ -322,8 +330,8 @@ def certify_algebraicity(w: CiWeb, pair_cap: int = DEFAULT_PAIR_CAP) -> Certific
     the arithmetic is wrong.
     """
     m = multidegree_data(w)
-    smooth = smoothness_chart_check(w, pair_cap=pair_cap)
-    dicrit = is_dicritical(w, pair_cap=pair_cap)
+    smooth = smoothness_chart_check(w)
+    dicrit = is_dicritical(w)
     algebraic = is_algebraic_web(w)
     N, bott, bridge = bott_bridge(m)
     cert = caustic_certificate(m)

@@ -179,7 +179,7 @@ def test_assertion_flags_leave_certify_unchanged(tmp_path, capsys):
 
 def test_unknown_command_is_input_error():
     with pytest.raises(InputError, match="unknown command"):
-        run("nope", parse_document(CONIC), None, 0)
+        run("nope", parse_document(CONIC), None)
 
 
 def test_readme_command_table_matches_commands():
@@ -379,12 +379,26 @@ def test_wrong_pde_count_for_web_command(tmp_path, capsys):
     assert code == EXIT_INPUT
 
 
-def test_pair_cap_env_triggers_engine_exit(tmp_path, capsys, monkeypatch):
-    path = write(tmp_path, CONIC)
+# exit codes under WEAVE_PAIR_CAP=0, by sample: the cap reaches every
+# command that runs a pair reduction; linearizable tests membership in a
+# principal ideal, which needs none, and dual rejects the delta = 0 webs
+_SAMPLE_NAMES = ("clairaut_conic", "cusp", "fermat_cubic_dual", "mixed_n3")
+_ZERO_CAP_EXITS = {
+    **{cmd: (EXIT_ENGINE,) * 4 for cmd in ("critical", "caustic", "smooth", "certify")},
+    **{cmd: (EXIT_OK, EXIT_ENGINE, EXIT_OK, EXIT_ENGINE)
+       for cmd in ("dicritical", "hyperdicritical")},
+    "dual": (EXIT_INPUT, EXIT_OK, EXIT_INPUT, EXIT_INPUT),
+}
+
+
+@pytest.mark.parametrize("sample", range(4), ids=_SAMPLE_NAMES)
+@pytest.mark.parametrize("command", COMMANDS)
+def test_pair_cap_env_triggers_engine_exit(command, sample, capsys, monkeypatch):
     monkeypatch.setenv("WEAVE_PAIR_CAP", "0")
-    code, _, err = run_cli(["critical", path], capsys)
-    assert code == EXIT_ENGINE
-    assert "pair reductions" in err
+    path = str(SAMPLES / f"{_SAMPLE_NAMES[sample]}.json")
+    code, _, err = run_cli([command, path], capsys)
+    assert code == _ZERO_CAP_EXITS.get(command, (EXIT_OK,) * 4)[sample]
+    assert (code == EXIT_ENGINE) == ("pair reductions" in err)
 
 
 @pytest.mark.parametrize("value", ["abc", "-5"])
@@ -394,6 +408,19 @@ def test_pair_cap_env_rejects_invalid(tmp_path, capsys, monkeypatch, value):
     code, out, err = run_cli(["critical", path], capsys)
     assert code == EXIT_INPUT and not out
     assert "error: WEAVE_PAIR_CAP must be an integer >= 0" in err
+
+
+def test_all_requested_charts_degenerate(tmp_path, capsys):
+    # u1^2: the critical determinant vanishes in chart (0,1) only, so a
+    # run restricted to it names the requested charts, not the web
+    path = write(tmp_path, {"n": 2, "pdes": [[{"c": [1, 1], "X": [0, 0, 0], "u": [0, 2, 0]}]]})
+    for command in ("dicritical", "hyperdicritical"):
+        code, out, err = run_cli([command, path, "--chart", "0,1"], capsys)
+        assert code == EXIT_INPUT and not out
+        assert err == ("error: critical determinant vanishes identically "
+                       "in every requested chart\n")
+        code, out, _ = run_cli([command, path], capsys)
+        assert code == EXIT_OK and json.loads(out)["aggregated"]
 
 
 def test_invalid_chart_option(tmp_path, capsys):

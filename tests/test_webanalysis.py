@@ -1,10 +1,15 @@
 """Web verdicts: critical data, dicriticity, smoothness, caustics, certification."""
 
+import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from oracles import to_sympy
 
+import webweave.webanalysis as wa
+from webweave.cli import parse_input
 from webweave.contactgeom import BiHomogPde, Chart, ChartForm, chart_form, \
     rehomogenize, standard_atlas
 from webweave.idealcalc import normal_form
@@ -30,6 +35,7 @@ X0, X1, X2 = (MultiPoly.var(BI2, f"X{k}") for k in range(3))
 C02 = Chart(2, 0, 2)
 T02 = C02.table
 x1, x2, p1 = (MultiPoly.var(T02, n) for n in ("x1", "x2", "p1"))
+SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
 
 
 # -- weights and degrees ---------------------------------------------------
@@ -208,6 +214,54 @@ def test_common_coefficient_factor_warned():
     assert any("common non-constant factor" in w for w in d.warnings)
     clean = chart_web_data(CiWeb(2, (BiHomogPde(2, U1**2 + U2**2),)), C02)
     assert not any("common non-constant factor" in w for w in clean.warnings)
+    # squarefree, although x1 divides F and its p1- and x2-partials
+    for chart in standard_atlas(2):
+        assert not any("non-reduced" in w for w in chart_web_data(web, chart).warnings)
+
+
+def _random_bihomog(rng, a: int, b: int) -> MultiPoly:
+    """A random bi-homogeneous polynomial of bi-degree (a, b) over P_2."""
+    def monomial(d):
+        e = [0, 0, 0]
+        for _ in range(d):
+            e[rng.randrange(3)] += 1
+        return e
+    f = MultiPoly.const(BI2, 0)
+    for _ in range(rng.randint(1, 3)):
+        term = MultiPoly.const(BI2, rng.choice([-3, -2, -1, 1, 2, 3]))
+        for var, exps in (("X", monomial(a)), ("u", monomial(b))):
+            for k, e in enumerate(exps):
+                term = term * MultiPoly.var(BI2, f"{var}{k}") ** e
+        f = f + term
+    return f
+
+
+def test_non_reduced_warning_matches_sympy_sqf_list():
+    # the warning fires exactly when the chart form has a repeated
+    # non-constant factor, on products of random bi-homogeneous factors,
+    # some of them squared
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(11)
+    checked = repeated = 0
+    while checked < 120:
+        H = MultiPoly.const(BI2, 1)
+        for _ in range(rng.randint(1, 3)):
+            factor = _random_bihomog(rng, rng.randint(0, 1), rng.randint(0, 1))
+            H = H * factor ** rng.choice([1, 1, 2])
+        try:
+            web = CiWeb(2, (BiHomogPde(2, H),))
+        except UsageError:
+            continue  # zero, u-degree 0 or divisible by the incidence form
+        for chart in standard_atlas(2):
+            data = chart_web_data(web, chart)
+            syms = sympy.symbols(chart.table.names)
+            _, factors = sympy.sqf_list(to_sympy(sympy, data.forms[0], syms), *syms)
+            expected = any(m > 1 for _, m in factors)
+            warned = any("non-reduced" in w for w in data.warnings)
+            assert warned == expected, (str(H), chart)
+            checked += 1
+            repeated += expected
+    assert 0 < repeated < checked
 
 
 def _warned_web() -> CiWeb:
@@ -351,6 +405,31 @@ def test_dicriticity_invariant_under_relabeling(cusp_web, perm):
 # -- certification -------------------------------------------------------------
 
 
+def test_certify_builds_each_chart_package_once(monkeypatch):
+    # the web is the session: certify's smoothness and dicriticity
+    # verdicts share one package per chart, so each chart form is
+    # restricted once per equation
+    doc, _ = parse_input(str(SAMPLES / "mixed_n3.json"))
+    packages, restricted = Counter(), []
+    init, restrict = wa.ChartWebData.__init__, wa.chart_form
+
+    def counted_init(self, chart, *args):
+        packages[chart.i, chart.j] += 1
+        init(self, chart, *args)
+
+    def counted_form(S, chart):
+        restricted.append(chart)
+        return restrict(S, chart)
+
+    monkeypatch.setattr(wa.ChartWebData, "__init__", counted_init)
+    monkeypatch.setattr(wa, "chart_form", counted_form)
+    rep = certify_algebraicity(doc.web())
+    assert len(packages) == 12 and max(packages.values()) == 1
+    assert len(restricted) == 24
+    assert rep.smooth == smoothness_chart_check(doc.web())
+    assert rep.dicritical == is_dicritical(doc.web())
+
+
 def test_certify_fermat(fermat_web):
     rep = certify_algebraicity(fermat_web)
     assert rep.weight == 3 and rep.multidegree == (0,) and rep.algebraic
@@ -371,8 +450,6 @@ def test_certify_cusp(cusp_web):
 def test_certify_contradiction_branch(monkeypatch):
     # the flag itself is pure branch logic; force the impossible verdict
     # combination on a weight-3 web with nonzero multi-degree
-    import webweave.webanalysis as wa
-
     S = BiHomogPde(2, X0 * U1**3 + X1 * U2**3)
     web = CiWeb(2, (S,))
     happy = wa.WebVerdict(True, (wa.ChartVerdict(C02, "true"),))
