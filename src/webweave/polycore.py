@@ -248,7 +248,8 @@ class MultiPoly:
 
     @classmethod
     def const(cls, vars: VarTable, c: Scalar) -> "MultiPoly":
-        return cls(vars, {(0,) * len(vars.names): c})
+        c = _as_fraction(c)
+        return cls._trusted(vars, {(0,) * len(vars.names): c} if c else {})
 
     @classmethod
     def var(cls, vars: VarTable, name: str) -> "MultiPoly":
@@ -306,7 +307,7 @@ class MultiPoly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(self.vars, other)
+            return self.terms == ({(0,) * len(self.vars.names): other} if other else {})
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return self.vars == other.vars and self.terms == other.terms
@@ -609,7 +610,7 @@ class PolyMatrix:
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[MultiPoly]]) -> "PolyMatrix":
         flat = tuple(e for row in rows for e in row)
-        return cls(len(rows), len(rows[0]), flat)
+        return cls(len(rows), len(rows[0]) if rows else 0, flat)
 
     @property
     def table(self) -> VarTable:
@@ -634,58 +635,40 @@ class PolyMatrix:
         return PolyMatrix(self.rows, other.cols, tuple(out))
 
 
-def _det_expansion(m: list[list[MultiPoly]], table: VarTable) -> MultiPoly:
-    k = len(m)
-    if k == 1:
-        return m[0][0]
-    if k == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    acc = MultiPoly.zero(table)
-    for r in range(k):
-        if not m[r][0]:
-            continue
-        minor = [row[1:] for t, row in enumerate(m) if t != r]
-        cof = _det_expansion(minor, table)
-        acc = acc + m[r][0] * cof if r % 2 == 0 else acc - m[r][0] * cof
-    return acc
+def _minor_table(M: PolyMatrix):
+    """The minor of M on given rows x cols, with every minor it reaches memoized.
 
+    ``minor(rows, cols)`` takes two equally long ascending index tuples
+    and expands along the first row, skipping zero entries; each
+    sub-minor is kept under its (rows, cols) key, so the minors of one
+    matrix share their common sub-minors.  The empty minor is 1.
+    """
+    table = M.table
+    grid = [M.row(r) for r in range(M.rows)]
+    memo: dict = {((), ()): MultiPoly.const(table, 1)}
 
-def _det_bareiss(m: list[list[MultiPoly]], table: VarTable) -> MultiPoly:
-    k = len(m)
-    m = [row[:] for row in m]
-    sign = 1
-    prev = MultiPoly.const(table, 1)
-    for c in range(k - 1):
-        pivot_row = next((r for r in range(c, k) if m[r][c]), None)
-        if pivot_row is None:
-            return MultiPoly.zero(table)
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            sign = -sign
-        for r in range(c + 1, k):
-            for t in range(c + 1, k):
-                num = m[c][c] * m[r][t] - m[r][c] * m[c][t]
-                q = exact_divide(num, prev)
-                assert q is not None, "Bareiss division is exact by construction"
-                m[r][t] = q
-            m[r][c] = MultiPoly.zero(table)
-        prev = m[c][c]
-    det = m[k - 1][k - 1]
-    return det if sign > 0 else -det
+    def minor(rows: tuple[int, ...], cols: tuple[int, ...]) -> MultiPoly:
+        hit = memo.get((rows, cols))
+        if hit is None:
+            top, rest = grid[rows[0]], rows[1:]
+            acc: dict[tuple[int, ...], Fraction] = {}
+            for t, c in enumerate(cols):
+                if top[c]:
+                    sub_minor = minor(rest, cols[:t] + cols[t + 1:])
+                    _add_into(acc, _mul_terms(top[c].terms, sub_minor.terms),
+                              sub if t % 2 else add)
+            hit = memo[rows, cols] = MultiPoly._trusted(table, acc)
+        return hit
 
-
-def _det(grid: list[list[MultiPoly]], table: VarTable) -> MultiPoly:
-    """Cofactor expansion up to 4x4, Bareiss beyond."""
-    if len(grid) <= 4:
-        return _det_expansion(grid, table)
-    return _det_bareiss(grid, table)
+    return minor
 
 
 def poly_det(M: PolyMatrix) -> MultiPoly:
     """Exact determinant of a square polynomial matrix."""
     if M.rows != M.cols:
         raise UsageError("determinant of a non-square matrix")
-    return _det([list(M.row(r)) for r in range(M.rows)], M.table)
+    full = tuple(range(M.rows))
+    return _minor_table(M)(full, full)
 
 
 def poly_adjugate(M: PolyMatrix) -> PolyMatrix:
@@ -693,17 +676,11 @@ def poly_adjugate(M: PolyMatrix) -> PolyMatrix:
     if M.rows != M.cols:
         raise UsageError("adjugate of a non-square matrix")
     k = M.rows
-    if k == 1:
-        return PolyMatrix(1, 1, (MultiPoly.const(M.table, 1),))
-    grid = [list(M.row(r)) for r in range(k)]
-    out = [[None] * k for _ in range(k)]
-    for r in range(k):
-        for c in range(k):
-            minor = [[grid[a][b] for b in range(k) if b != c]
-                     for a in range(k) if a != r]
-            cof = _det(minor, M.table)
-            out[c][r] = cof if (r + c) % 2 == 0 else -cof
-    return PolyMatrix.from_rows(out)
+    minor = _minor_table(M)
+    drop = [tuple(t for t in range(k) if t != r) for r in range(k)]
+    return PolyMatrix.from_rows([[minor(drop[r], drop[c]) if (r + c) % 2 == 0
+                                  else -minor(drop[r], drop[c]) for r in range(k)]
+                                 for c in range(k)])
 
 
 # -- multivariate gcd (primitive PRS) ----------------------------------

@@ -254,7 +254,7 @@ def test_projective_transition_numeric():
 
 
 def _transition_pairs(n):
-    """Every ordered chart pair for n <= 3, a fixed seeded sample of 20 at n = 4."""
+    """Every ordered chart pair for n <= 3, a fixed seeded sample of 20 beyond."""
     pairs = list(itertools.product(standard_atlas(n), repeat=2))
     return pairs if n <= 3 else random.Random(4).sample(pairs, 20)
 
@@ -277,7 +277,7 @@ def _jk_identity(t):
             assert acc == (t.jac_det if r == c else 0)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_jacobian_adjugate_identity(n):
     rng = random.Random(n)
     for c1, c2 in _transition_pairs(n):

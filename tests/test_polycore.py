@@ -259,7 +259,7 @@ def test_diagonal_det_and_adjugate():
     assert adj.at(0, 0) == 1 and adj.at(1, 1) == 2 * P1
 
 
-@pytest.mark.parametrize("size", [2, 3])
+@pytest.mark.parametrize("size", [2, 3, 4, 5])
 def test_adjugate_identity_random(size):
     rng = random.Random(size * 11)
     for _ in range(8):
@@ -273,20 +273,50 @@ def test_adjugate_identity_random(size):
                 assert prod.at(r, c) == (det if r == c else 0)
 
 
-def test_bareiss_matches_expansion():
-    rng = random.Random(5)
-    rows = [[rand_poly(rng, max_terms=2, max_exp=1, max_coeff=2)
-             for _ in range(5)] for _ in range(5)]
-    M = PolyMatrix.from_rows(rows)
-    from webweave.polycore import _det_bareiss, _det_expansion
-    assert _det_bareiss(rows, T) == _det_expansion(rows, T)
-    assert poly_det(M) == _det_expansion(rows, T)
+def _oracle_matrices():
+    """Seeded square matrices of size 1-6, about a third of the entries
+    zero, then one rank-deficient 4x4 (last row a polynomial combination of
+    the first two)."""
+    rng = random.Random(17)
+    zero = MultiPoly.zero(T)
+    mats = [[[zero if rng.random() < 0.35 else rand_poly(rng, max_terms=2, max_exp=1, max_coeff=3)
+              for _ in range(size)] for _ in range(size)]
+            for size in range(1, 7)]
+    rows = [[rand_poly(rng, max_terms=2, max_exp=1, max_coeff=3) for _ in range(4)]
+            for _ in range(3)]
+    rows.append([X1 * a - 2 * b for a, b in zip(rows[0], rows[1])])
+    return mats + [rows]
+
+
+def test_det_and_adjugate_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols(T.names)
+
+    def back(expr):
+        return from_sympy(sympy, sympy.Poly(expr, *syms, domain="QQ"), T)
+
+    mats = _oracle_matrices()
+    for rows in mats:
+        M = PolyMatrix.from_rows(rows)
+        S = sympy.Matrix([[to_sympy(sympy, e, syms) for e in row] for row in rows])
+        assert poly_det(M) == back(S.det(method="berkowitz")), rows
+        want = S.adjugate()
+        adj = poly_adjugate(M)
+        assert all(adj.at(r, c) == back(want[r, c])
+                   for r in range(M.rows) for c in range(M.cols)), rows
+    assert not poly_det(PolyMatrix.from_rows(mats[-1]))  # the rank-deficient one
 
 
 def test_non_square_rejected():
     M = PolyMatrix.from_rows([[X1, X2]])
     with pytest.raises(UsageError):
         poly_det(M)
+
+
+@pytest.mark.parametrize("rows", [[], [[]]])
+def test_empty_matrix_rejected(rows):
+    with pytest.raises(UsageError, match="dimensions must be positive"):
+        PolyMatrix.from_rows(rows)
 
 
 # -- resultants ---------------------------------------------------------
