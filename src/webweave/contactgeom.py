@@ -25,11 +25,11 @@ from .polycore import (
     PolyMatrix,
     UsageError,
     VarTable,
+    _adjugate,
+    _minor_table,
     exact_divide,
     is_bihomogeneous,
     multivar_gcd,
-    poly_adjugate,
-    poly_det,
     scalar_equal,
     substitute,
 )
@@ -329,35 +329,28 @@ class RatFunc:
 
 
 @dataclass(frozen=True)
-class ChartMaps:
-    """Coordinate maps between two standard charts: ``x_map``/``p_map``
-    express the target coordinates as rational functions of the source
-    ones."""
-
-    source: Chart
-    target: Chart
-    x_map: tuple[tuple[str, RatFunc], ...]
-    p_map: tuple[tuple[str, RatFunc], ...]
-
-    @property
-    def maps(self) -> dict[str, RatFunc]:
-        return dict(self.x_map) | dict(self.p_map)
-
-
-@dataclass(frozen=True)
-class ChartTransition(ChartMaps):
+class ChartTransition:
     """Exact transition between two standard charts.
 
-    Besides the coordinate maps, J is the Jacobian of the point-part in
+    ``x_map``/``p_map`` express the target coordinates as rational
+    functions of the source ones.  J is the Jacobian of the point-part in
     the source/target slot order, K its adjugate (so J K = det(J) I), and
     ``frame_det`` the induced transition factor for wedges of the contact
     frame fields; these are the covariance data of chart forms.
     """
 
+    source: Chart
+    target: Chart
+    x_map: tuple[tuple[str, RatFunc], ...]
+    p_map: tuple[tuple[str, RatFunc], ...]
     J: tuple[tuple[RatFunc, ...], ...]
     K: tuple[tuple[RatFunc, ...], ...]
     jac_det: RatFunc
     frame_det: RatFunc
+
+    @property
+    def maps(self) -> dict[str, RatFunc]:
+        return dict(self.x_map) | dict(self.p_map)
 
 
 def _frame_data(source: Chart, nums: Sequence[MultiPoly], den: MultiPoly):
@@ -371,7 +364,9 @@ def _frame_data(source: Chart, nums: Sequence[MultiPoly], den: MultiPoly):
     slots = [f"x{k}" for k in source.slot_indices]
     M = PolyMatrix.from_rows([[f.derivative(s) * den - f * den.derivative(s) for s in slots]
                               for f in nums])
-    adj = poly_adjugate(M)
+    minor, full = _minor_table(M), tuple(range(M.rows))
+    det, adj = minor(full, full), _adjugate(minor, full, full)
+    del minor  # release the table before the RatFunc wrapping
     last = M.rows - 1
     den2 = den * den
     adj_den = den2 ** last
@@ -380,33 +375,32 @@ def _frame_data(source: Chart, nums: Sequence[MultiPoly], den: MultiPoly):
         frame = frame - source.p(k) * adj.at(b, last)
     return (tuple(tuple(RatFunc(e, den2) for e in M.row(r)) for r in range(M.rows)),
             tuple(tuple(RatFunc(e, adj_den) for e in adj.row(r)) for r in range(M.rows)),
-            RatFunc(poly_det(M), adj_den * den2), RatFunc(frame, adj_den))
+            RatFunc(det, adj_den * den2), RatFunc(frame, adj_den))
 
 
-def _chart_maps(c1: Chart, c2: Chart, sub: Mapping[str, MultiPoly]) -> ChartMaps:
-    """Exact rational maps (x', p') in terms of (x, p) between two charts;
-    ``sub`` is ``c1.substitution()``."""
+def _coordinate_maps(c1: Chart, c2: Chart, sub: Mapping[str, MultiPoly]):
+    """Each chart c2 coordinate as (name, numerator, denominator) in the c1
+    coordinates, x-coordinates first; ``sub`` is ``c1.substitution()``."""
     if c1.n != c2.n:
         raise UsageError("charts live on different spaces")
-    x_map = tuple((f"x{k}", RatFunc(sub[f"X{k}"], sub[f"X{c2.i}"])) for k in c2.x_indices)
-    p_map = tuple((f"p{a}", RatFunc(-sub[f"u{a}"], sub[f"u{c2.j}"])) for a in c2.p_indices)
-    return ChartMaps(c1, c2, x_map, p_map)
+    return ([(f"x{k}", sub[f"X{k}"], sub[f"X{c2.i}"]) for k in c2.x_indices]
+            + [(f"p{a}", -sub[f"u{a}"], sub[f"u{c2.j}"]) for a in c2.p_indices])
 
 
 def transition(c1: Chart, c2: Chart) -> ChartTransition:
     """The coordinate maps between two charts and the Jacobian package of
     their point-part."""
     sub = c1.substitution()
-    m = _chart_maps(c1, c2, sub)
+    maps = tuple((name, RatFunc(num, den)) for name, num, den in _coordinate_maps(c1, c2, sub))
     frame = _frame_data(c1, [sub[f"X{k}"] for k in c2.slot_indices], sub[f"X{c2.i}"])
-    return ChartTransition(c1, c2, m.x_map, m.p_map, *frame)
+    return ChartTransition(c1, c2, maps[:c1.n], maps[c1.n:], *frame)
 
 
-def transport_point(t: ChartMaps, point: Mapping[str, Fraction]) -> dict[str, Fraction]:
+def transport_point(t: ChartTransition, point: Mapping[str, Fraction]) -> dict[str, Fraction]:
     return {name: expr.evaluate(point) for name, expr in t.maps.items()}
 
 
-def transport_form(t: ChartMaps, form: "ChartForm | MultiPoly") -> tuple[MultiPoly, MultiPoly]:
+def transport_form(t: ChartTransition, form: ChartForm | MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     """Pull a target-chart form back to the source chart, clearing denominators.
 
     Returns (N, D) with N = D * (F o transition); D is the product of the
@@ -424,13 +418,13 @@ def covariance_check(S: BiHomogPde, c1: Chart, c2: Chart) -> bool:
 
     Read in chart c1, the chart c2 coordinates are (X/X_{i'}, u/(-u_{j'})),
     so for H of bi-degree (delta, d) the pullback of the c2 form is the c1
-    form F1 times X_{i'}^-delta (-u_{j'})^-d.  With the pullback written
-    N / D, the check is the polynomial identity
-    N X_{i'}^delta (-u_{j'})^d = D F1.
+    form F1 times X_{i'}^-delta (-u_{j'})^-d.  With the pullback of the raw
+    coordinate quotients (no RatFunc) written N / D, the check is the
+    polynomial identity N X_{i'}^delta (-u_{j'})^d = D F1.
     """
     sub = c1.substitution()
-    t = _chart_maps(c1, c2, sub)
+    maps = {name: (num, den) for name, num, den in _coordinate_maps(c1, c2, sub)}
     F1 = chart_form(S, c1).poly
-    N, D = transport_form(t, chart_form(S, c2).poly)
+    N, D = substitute(chart_form(S, c2).poly, maps, target=c1.table)
     delta, d = S.bidegree
     return N * sub[f"X{c2.i}"] ** delta * (-sub[f"u{c2.j}"]) ** d == D * F1

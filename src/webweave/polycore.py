@@ -663,6 +663,16 @@ def _minor_table(M: PolyMatrix):
     return minor
 
 
+def _adjugate(minor, rows: tuple[int, ...], cols: tuple[int, ...]) -> PolyMatrix:
+    """Adjugate of the square rows x cols submatrix, read off a minor table:
+    entry (c, r) is the cofactor of the submatrix's entry (r, c)."""
+    drop_rows = [rows[:t] + rows[t + 1:] for t in range(len(rows))]
+    drop_cols = [cols[:t] + cols[t + 1:] for t in range(len(cols))]
+    return PolyMatrix.from_rows([[minor(dr, dc) if (r + c) % 2 == 0 else -minor(dr, dc)
+                                  for r, dr in enumerate(drop_rows)]
+                                 for c, dc in enumerate(drop_cols)])
+
+
 def poly_det(M: PolyMatrix) -> MultiPoly:
     """Exact determinant of a square polynomial matrix."""
     if M.rows != M.cols:
@@ -675,12 +685,8 @@ def poly_adjugate(M: PolyMatrix) -> PolyMatrix:
     """Adjugate: M * adj(M) = det(M) * I as a polynomial identity."""
     if M.rows != M.cols:
         raise UsageError("adjugate of a non-square matrix")
-    k = M.rows
-    minor = _minor_table(M)
-    drop = [tuple(t for t in range(k) if t != r) for r in range(k)]
-    return PolyMatrix.from_rows([[minor(drop[r], drop[c]) if (r + c) % 2 == 0
-                                  else -minor(drop[r], drop[c]) for r in range(k)]
-                                 for c in range(k)])
+    full = tuple(range(M.rows))
+    return _adjugate(_minor_table(M), full, full)
 
 
 # -- multivariate gcd (primitive PRS) ----------------------------------
@@ -796,7 +802,7 @@ def _gcd_pair(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     if len(f.terms) == 1 or len(g.terms) == 1:
         # the divisors of a monomial are monomials, and x^m divides a
         # polynomial iff m is at most each of its exponent vectors
-        return MultiPoly.monomial(f.vars, tuple(map(min, *f.terms, *g.terms)))
+        return MultiPoly._trusted(f.vars, {tuple(map(min, *f.terms, *g.terms)): Fraction(1)})
     if _coprime_by_evaluation(f, g):
         return MultiPoly.const(f.vars, 1)
     used = sorted(f.vars.index(n) for n in f.variables_used() | g.variables_used())

@@ -21,8 +21,8 @@ from .cohomcalc import CausticCertificate, MultiDegreeData, bott_number, \
 from .contactgeom import BiHomogPde, Chart, chart_form, standard_atlas
 from .idealcalc import DEFAULT_PAIR_CAP, GREVLEX, IdealBasis, buchberger, \
     eliminate, is_trivial_ideal, normal_form
-from .polycore import MultiPoly, PolyMatrix, UsageError, multivar_gcd, \
-    partial_derivative, poly_adjugate, poly_det
+from .polycore import MultiPoly, PolyMatrix, UsageError, _adjugate, _minor_table, \
+    multivar_gcd, partial_derivative
 
 
 @dataclass(frozen=True)
@@ -78,10 +78,11 @@ class ChartWebData:
 
     ``jacobian`` has rows indexed by equation and columns by the chart's
     variables in table order (dF/dv, each computed once); every other
-    member is derived from it on first use.  ``p_jacobian`` keeps its
-    p-columns; ``contact_jacobian`` has columns by contact direction
-    (entry dF/dx_a + p_a dF/dx_j); ``p_adjugate`` is the adjugate of the
-    p-Jacobian, so p_jacobian * p_adjugate = critical_det * I.
+    member is derived from it on first use, its minors through a minor
+    table built for that reading alone.  ``critical_det`` and
+    ``p_adjugate`` are the determinant and adjugate of its block P of
+    p-columns (P p_adjugate = critical_det I); ``contact_jacobian`` has
+    columns by contact direction (entry dF/dx_a + p_a dF/dx_j).
     ``warnings`` are input diagnostics, ``web_basis`` and
     ``critical_basis`` the reduced bases of (F_1..F_{n-1}) and of
     (F_1..F_{n-1}, critical_det) (None on degenerate charts), and
@@ -100,14 +101,6 @@ class ChartWebData:
         return PolyMatrix.from_rows(
             [[partial_derivative(F, v) for v in self.chart.table.names] for F in self.forms])
 
-    def _columns(self, cols) -> list[list[MultiPoly]]:
-        J = self.jacobian
-        return [[J.at(r, c) for c in cols] for r in range(J.rows)]
-
-    @cached_property
-    def p_jacobian(self) -> PolyMatrix:
-        return PolyMatrix.from_rows(self._columns(self.chart.table.group("p")))
-
     @cached_property
     def contact_jacobian(self) -> PolyMatrix:
         J, chart = self.jacobian, self.chart
@@ -117,9 +110,13 @@ class ChartWebData:
             [[J.at(r, col(f"x{a}")) + chart.p(a) * J.at(r, xj) for a in chart.p_indices]
              for r in range(J.rows)])
 
+    @property
+    def _p_block(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return tuple(range(self.jacobian.rows)), self.chart.table.group("p")
+
     @cached_property
     def critical_det(self) -> MultiPoly:
-        return poly_det(self.p_jacobian)
+        return _minor_table(self.jacobian)(*self._p_block)
 
     @cached_property
     def degenerate(self) -> bool:
@@ -127,7 +124,7 @@ class ChartWebData:
 
     @cached_property
     def p_adjugate(self) -> PolyMatrix:
-        return poly_adjugate(self.p_jacobian)
+        return _adjugate(_minor_table(self.jacobian), *self._p_block)
 
     @cached_property
     def warnings(self) -> tuple[str, ...]:
@@ -145,10 +142,11 @@ class ChartWebData:
 
     @cached_property
     def smooth(self) -> bool:
-        gens = list(self.forms)
-        for cols in itertools.combinations(range(self.jacobian.cols), len(self.forms)):
-            gens.append(poly_det(PolyMatrix.from_rows(self._columns(cols))))
-        return is_trivial_ideal(gens, GREVLEX, self._pair_cap)
+        J = self.jacobian
+        minor, rows = _minor_table(J), tuple(range(J.rows))
+        minors = [minor(rows, cols) for cols in itertools.combinations(range(J.cols), J.rows)]
+        del minor  # one table for all the maximal minors, freed before the Groebner run
+        return is_trivial_ideal(list(self.forms) + minors, GREVLEX, self._pair_cap)
 
     def vanishes_on_web(self, entries) -> bool:
         """Every entry lies in the ideal (F_1..F_{n-1})."""

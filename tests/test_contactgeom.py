@@ -1,5 +1,6 @@
 """Chart forms, transitions, covariance, homogenization, duality."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -308,6 +309,26 @@ def test_p_transition_matches_adjugate_formula(n):
                 numer = numer + RatFunc(c1.p(k)) * t.K[b][a]
             numer = numer - t.K[nslot][a]
             assert -(numer / denom) == direct, (c1, c2, name)
+
+
+def _term_key(r: RatFunc):
+    return tuple(sorted((e, str(c)) for e, c in f.terms.items()) for f in (r.num, r.den))
+
+
+def test_transition_digests():
+    # the exact representations, not only their values: one SHA-256 over the
+    # sorted term maps of every ordered pair of distinct charts at n = 2, 3, 4
+    h = hashlib.sha256()
+    for n in (2, 3, 4):
+        atlas = standard_atlas(n)
+        for c1, c2 in itertools.permutations(atlas, 2):
+            t = transition(c1, c2)
+            data = ([(name, _term_key(r)) for name, r in t.x_map + t.p_map],
+                    [[_term_key(e) for e in row] for row in t.J],
+                    [[_term_key(e) for e in row] for row in t.K],
+                    _term_key(t.jac_det), _term_key(t.frame_det))
+            h.update(repr(data).encode())
+    assert h.hexdigest() == "bff0d9af14cb124c231bf904247b8ce3f56c63db7f2f0ec0cbe4b2e0e263cc64"
 
 
 def _sample_point(rng, chart):

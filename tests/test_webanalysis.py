@@ -1,5 +1,6 @@
 """Web verdicts: critical data, dicriticity, smoothness, caustics, certification."""
 
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -9,11 +10,13 @@ import pytest
 from oracles import to_sympy
 
 import webweave.webanalysis as wa
+from webweave import contactgeom, polycore
 from webweave.cli import parse_input
 from webweave.contactgeom import BiHomogPde, Chart, ChartForm, chart_form, \
     rehomogenize, standard_atlas
-from webweave.idealcalc import normal_form
-from webweave.polycore import MultiPoly, UsageError, VarTable, scalar_equal
+from webweave.idealcalc import is_trivial_ideal, normal_form
+from webweave.polycore import MultiPoly, PolyMatrix, UsageError, VarTable, poly_adjugate, \
+    poly_det, scalar_equal
 from webweave.webanalysis import (
     CiWeb,
     caustic_generators,
@@ -86,9 +89,11 @@ def test_n3_mixed_chart_data():
     P2 = rehomogenize(ChartForm(c03, pp2 - xx2))
     w = CiWeb(3, (P1, P2))
     d = chart_web_data(w, c03)
-    assert d.p_jacobian.at(0, 0) == 2 * pp1 and d.p_jacobian.at(1, 1) == 1
-    assert d.p_jacobian.at(0, 1) == 0 and d.p_jacobian.at(1, 0) == 0
+    P = _columns(d.jacobian, c03.table.group("p"))
+    assert P.at(0, 0) == 2 * pp1 and P.at(1, 1) == 1
+    assert P.at(0, 1) == 0 and P.at(1, 0) == 0
     assert d.critical_det == 2 * pp1
+    _assert_adjugate_identity(P, d.p_adjugate, d.critical_det)
     assert d.p_adjugate.at(0, 0) == 1 and d.p_adjugate.at(1, 1) == 2 * pp1
     th = d.contact_jacobian
     assert th.at(0, 0) == -1 and th.at(1, 1) == -1
@@ -99,15 +104,64 @@ def test_n3_mixed_chart_data():
     assert v.per_chart[0].status == "false"
 
 
+def _columns(J: PolyMatrix, cols) -> PolyMatrix:
+    """The submatrix of J on all its rows and the given columns, built anew."""
+    return PolyMatrix.from_rows([[J.at(r, c) for c in cols] for r in range(J.rows)])
+
+
+def _assert_adjugate_identity(P: PolyMatrix, adj: PolyMatrix, det: MultiPoly):
+    prod = P.matmul(adj)
+    for r in range(P.rows):
+        for s in range(P.rows):
+            assert prod.at(r, s) == (det if r == s else 0)
+
+
 def test_jacobian_adjugate_identity_per_chart(clairaut_web, cusp_web, fermat_web):
     for web in (clairaut_web, cusp_web, fermat_web):
         for c in standard_atlas(2):
             d = chart_web_data(web, c)
-            prod = d.p_jacobian.matmul(d.p_adjugate)
-            k = d.p_jacobian.rows
-            for r in range(k):
-                for s in range(k):
-                    assert prod.at(r, s) == (d.critical_det if r == s else 0)
+            _assert_adjugate_identity(_columns(d.jacobian, c.table.group("p")),
+                                      d.p_adjugate, d.critical_det)
+
+
+def _seeded_webs(rng, n: int, count: int):
+    """``count`` random webs on P_n with equations of bi-degree (<= 1, <= 2)."""
+    webs = []
+    while len(webs) < count:
+        try:
+            webs.append(CiWeb(n, tuple(
+                BiHomogPde(n, _random_bihomog(rng, rng.randint(0, 1), rng.randint(1, 2), n))
+                for _ in range(n - 1))))
+        except UsageError:
+            continue  # a zero equation or one divisible by the incidence form
+    return webs
+
+
+def test_chart_minors_match_explicit_submatrices(monkeypatch):
+    # critical_det, p_adjugate and smooth's maximal minors are read off the
+    # Jacobian itself; here each one is recomputed from a submatrix that is
+    # built on its own, on the samples and on seeded webs at n = 2..5
+    rng = random.Random(14)
+    webs = [parse_input(str(SAMPLES / name))[0].web() for name in
+            ("clairaut_conic.json", "cusp.json", "fermat_cubic_dual.json", "mixed_n3.json")]
+    for n, count in ((2, 4), (3, 3), (4, 2), (5, 2)):
+        webs += _seeded_webs(rng, n, count)
+    seen = []
+    monkeypatch.setattr(wa, "is_trivial_ideal",
+                        lambda gens, *args: seen.append(gens) or is_trivial_ideal(gens, *args))
+    for web in webs:
+        for chart in standard_atlas(web.n):
+            d = chart_web_data(web, chart)
+            P = _columns(d.jacobian, chart.table.group("p"))
+            assert d.critical_det == poly_det(P), chart
+            assert d.p_adjugate == poly_adjugate(P), chart
+            if web.n > 3:
+                continue
+            J = d.jacobian
+            gens = list(d.forms) + [poly_det(_columns(J, cols)) for cols in
+                                    itertools.combinations(range(J.cols), J.rows)]
+            assert d.smooth == is_trivial_ideal(gens), chart
+            assert seen.pop() == gens
 
 
 # -- dicriticity ------------------------------------------------------------
@@ -219,19 +273,21 @@ def test_common_coefficient_factor_warned():
         assert not any("non-reduced" in w for w in chart_web_data(web, chart).warnings)
 
 
-def _random_bihomog(rng, a: int, b: int) -> MultiPoly:
-    """A random bi-homogeneous polynomial of bi-degree (a, b) over P_2."""
+def _random_bihomog(rng, a: int, b: int, n: int = 2) -> MultiPoly:
+    """A random bi-homogeneous polynomial of bi-degree (a, b) over P_n."""
+    table = VarTable.bihomog(n)
+
     def monomial(d):
-        e = [0, 0, 0]
+        e = [0] * (n + 1)
         for _ in range(d):
-            e[rng.randrange(3)] += 1
+            e[rng.randrange(n + 1)] += 1
         return e
-    f = MultiPoly.const(BI2, 0)
+    f = MultiPoly.const(table, 0)
     for _ in range(rng.randint(1, 3)):
-        term = MultiPoly.const(BI2, rng.choice([-3, -2, -1, 1, 2, 3]))
+        term = MultiPoly.const(table, rng.choice([-3, -2, -1, 1, 2, 3]))
         for var, exps in (("X", monomial(a)), ("u", monomial(b))):
             for k, e in enumerate(exps):
-                term = term * MultiPoly.var(BI2, f"{var}{k}") ** e
+                term = term * MultiPoly.var(table, f"{var}{k}") ** e
         f = f + term
     return f
 
@@ -428,6 +484,38 @@ def test_certify_builds_each_chart_package_once(monkeypatch):
     assert len(restricted) == 24
     assert rep.smooth == smoothness_chart_check(doc.web())
     assert rep.dicritical == is_dicritical(doc.web())
+
+
+def test_chart_minors_and_covariance_build_no_intermediates(monkeypatch):
+    # smooth reads all its maximal minors off one minor table per chart,
+    # transition reads det and adjugate off one table per call, and a
+    # covariance sweep substitutes the raw coordinate quotients, so it
+    # constructs no RatFunc
+    tables, ratfuncs = [0], [0]
+    make_table, rat_init = polycore._minor_table, contactgeom.RatFunc.__init__
+
+    def counted_table(M):
+        tables[0] += 1
+        return make_table(M)
+
+    def counted_rat(self, *args):
+        ratfuncs[0] += 1
+        rat_init(self, *args)
+
+    for module in (polycore, wa, contactgeom):
+        monkeypatch.setattr(module, "_minor_table", counted_table)
+    monkeypatch.setattr(contactgeom.RatFunc, "__init__", counted_rat)
+    doc, _ = parse_input(str(SAMPLES / "mixed_n3.json"))
+    atlas = standard_atlas(3)
+    assert all(contactgeom.covariance_check(doc.pdes[0], a, b) for a in atlas for b in atlas)
+    assert ratfuncs[0] == 0 and tables[0] == 0
+    smoothness_chart_check(doc.web())
+    assert tables[0] == len(atlas)
+    for a, b in [(atlas[0], atlas[5]), (atlas[7], atlas[2]), (atlas[3], atlas[3])]:
+        tables[0] = 0
+        contactgeom.transition(a, b)
+        assert tables[0] == 1
+    assert ratfuncs[0] > 0
 
 
 def test_certify_fermat(fermat_web):
