@@ -179,7 +179,8 @@ def _charts_arg(doc: InputDocument, chart_opts) -> tuple[Chart, ...] | None:
             charts.append(Chart(doc.n, i, j))
         except UsageError as exc:
             raise InputError(str(exc)) from exc
-    return tuple(charts)
+    # a repeated chart is analysed and reported once, in first-seen order
+    return tuple(dict.fromkeys(charts))
 
 
 def _bidegree(doc: InputDocument, charts) -> dict:

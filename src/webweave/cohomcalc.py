@@ -16,10 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, prod
+from operator import itemgetter
 from typing import Mapping
 
-from .polycore import UsageError
+from .idealcalc import _element, _reduce
+from .polycore import UsageError, _add_into, _mul_terms, _signed_sum
 
 INCIDENCE = "incidence"
 PRODUCT = "product"
@@ -78,15 +80,8 @@ class CohomClass:
         raise UsageError("cannot combine cohomology class with this value")
 
     def __add__(self, other) -> "CohomClass":
-        other = self._coerce(other)
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return CohomClass(self.n, self.ring, out)
+        return CohomClass(self.n, self.ring,
+                          _add_into(dict(self.coeffs), self._coerce(other).coeffs))
 
     __radd__ = __add__
 
@@ -100,17 +95,7 @@ class CohomClass:
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "CohomClass":
-        other = self._coerce(other)
-        out: dict[Monom, int] = {}
-        for (a, b), c1 in self.coeffs.items():
-            for (x, y), c2 in other.coeffs.items():
-                m = (a + x, b + y)
-                s = out.get(m, 0) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return CohomClass(self.n, self.ring, out)
+        return CohomClass(self.n, self.ring, _mul_terms(self.coeffs, self._coerce(other).coeffs))
 
     __rmul__ = __mul__
 
@@ -138,20 +123,13 @@ class CohomClass:
         return {i + j for i, j in self.coeffs}
 
     def to_string(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for (i, j) in sorted(self.coeffs, key=lambda m: (m[0] + m[1], m[0])):
-            c = self.coeffs[(i, j)]
+        terms = []
+        for i, j in sorted(self.coeffs, key=lambda m: (m[0] + m[1], m[0])):
             mono = "*".join(s for s in (
                 "xi" if i == 1 else f"xi^{i}" if i else "",
                 "xi'" if j == 1 else f"xi'^{j}" if j else "") if s)
-            body = str(abs(c)) if not mono else (mono if abs(c) == 1 else f"{abs(c)}*{mono}")
-            parts.append((c < 0, body))
-        text = ("-" if parts[0][0] else "") + parts[0][1]
-        for neg, body in parts[1:]:
-            text += (" - " if neg else " + ") + body
-        return text
+            terms.append((mono, self.coeffs[(i, j)]))
+        return _signed_sum(terms)
 
     def __str__(self) -> str:
         return self.to_string()
@@ -160,42 +138,30 @@ class CohomClass:
         return f"CohomClass({self.to_string()})"
 
 
+# lex order comparing the xi'-exponent first; the relation's leading
+# monomial is then xi'^n, coprime to xi^(n+1)
+_XI_PRIME_FIRST = itemgetter(1, 0)
+
+
 def nf(c: CohomClass) -> CohomClass:
     """Normal form in the quotient ring.
 
-    Incidence ring: rewrite xi'^n -> sum_{i=1..n} (-1)^(i+1) xi^i xi'^(n-i)
-    until every monomial has xi'-exponent below n, dropping xi-exponents
-    above n as they appear; terminates because each rewrite strictly
-    raises the xi-exponent.  Product ring: drop exponents above n.
+    Incidence ring: the remainder of the engine's division
+    (``idealcalc._reduce``) by the relation and xi^(n+1).  In the lex
+    order with xi' compared first their leading monomials xi'^n and
+    xi^(n+1) are coprime, so the pair is a Groebner basis and the
+    remainder lies on the basis {xi^i xi'^j : i <= n, j <= n-1}; both
+    leading coefficients are 1, so the division never rescales and the
+    remainder is integral.  Product ring: drop exponents above n.
     """
     n = c.n
     if c.ring == PRODUCT:
         return CohomClass(n, PRODUCT, {(i, j): v for (i, j), v in c.coeffs.items()
                                        if i <= n and j <= n})
-    work = dict(c.coeffs)
-    done: dict[Monom, int] = {}
-    while work:
-        (i, j), v = work.popitem()
-        if i > n or not v:
-            continue
-        if j <= n - 1:
-            s = done.get((i, j), 0) + v
-            if s:
-                done[(i, j)] = s
-            else:
-                done.pop((i, j), None)
-            continue
-        for k in range(1, n + 1):
-            m = (i + k, j - k)
-            sign = 1 if k % 2 == 1 else -1
-            if m[0] > n:
-                continue
-            s = work.get(m, 0) + sign * v
-            if s:
-                work[m] = s
-            else:
-                work.pop(m, None)
-    return CohomClass(n, INCIDENCE, done)
+    divisors = [_element(relation_class(n).coeffs, _XI_PRIME_FIRST),
+                _element({(n + 1, 0): 1}, _XI_PRIME_FIRST)]
+    remainder, _ = _reduce(dict(c.coeffs), divisors, _XI_PRIME_FIRST)
+    return CohomClass(n, INCIDENCE, dict(remainder))
 
 
 def integrate(c: CohomClass) -> int:
@@ -222,24 +188,17 @@ def relation_class(n: int) -> CohomClass:
 def chern_T(n: int, j: int) -> CohomClass:
     """Chern class of the tautological rank-(n-1) subbundle, in normal form.
 
-    Both the defining recursion c_j = C(n+1, j) xi^j - (xi + xi') c_{j-1}
-    and the closed form sum_i (-1)^i C(n+1, j-i) xi^(j-i) (xi+xi')^i are
-    evaluated in the free ring and asserted equal before reduction.
+    Evaluates the defining recursion c_j = C(n+1, j) xi^j - (xi + xi') c_{j-1}
+    from c_0 = 1 in the free ring and reduces the result with ``nf``.
     """
     if not (0 <= j <= n):
         raise UsageError("index out of range (0 <= j <= n)")
     xi = CohomClass.xi(n)
     xs = xi + CohomClass.xi_prime(n)
-    rec = CohomClass.unit(n)
+    c = CohomClass.unit(n)
     for t in range(1, j + 1):
-        rec = comb(n + 1, t) * xi**t - xs * rec
-    closed = CohomClass.zero(n)
-    for i in range(j + 1):
-        term = comb(n + 1, j - i) * xi ** (j - i) * xs**i
-        closed = closed + (term if i % 2 == 0 else -term)
-    if rec != closed:
-        raise AssertionError("Chern recursion disagrees with the closed form")
-    return nf(rec)
+        c = comb(n + 1, t) * xi**t - xs * c
+    return nf(c)
 
 
 @dataclass(frozen=True)
@@ -266,17 +225,11 @@ class MultiDegreeData:
 
     @property
     def weight(self) -> int:
-        w = 1
-        for _, d in self.pairs:
-            w *= d
-        return w
+        return prod(d for _, d in self.pairs)
 
     @property
     def degree(self) -> int:
-        t = 1
-        for delta, _ in self.pairs:
-            t *= delta
-        return t
+        return prod(delta for delta, _ in self.pairs)
 
     @property
     def sigma1(self) -> Fraction:

@@ -139,7 +139,8 @@ def _reduce(work: dict, divisors, key) -> tuple[list, int]:
     remainder's (monomial, integer) items in decreasing order, and the
     positive integer with scale * f minus the remainder in the ideal of
     the divisors; divided by ``scale``, the remainder is the exact one of
-    division over Q with the same selection rule.
+    division over Q with the same selection rule.  It takes exponent
+    tuples of any width: ``cohomcalc.nf`` divides (xi, xi') classes.
     """
     heap = [(_heap_key(key, e), e) for e in work]
     heapq.heapify(heap)

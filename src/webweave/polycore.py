@@ -68,12 +68,12 @@ def _integer_terms(terms: Mapping[tuple[int, ...], Fraction]) -> tuple[Fraction,
     return Fraction(g, denom), ints
 
 
-def _shift_terms(terms: dict, shift: tuple[int, ...], c: Fraction) -> dict:
+def _shift_terms(terms: dict, shift: tuple[int, ...], c: Scalar) -> dict:
     """c * x^shift * terms on a canonical term dict.
 
-    Shifted monomials stay distinct and a nonzero c cancels no
-    coefficient, so the result is canonical; a zero shift or c = 1 skips
-    that step.
+    Coefficients may be ints or Fractions.  Shifted monomials stay
+    distinct and a nonzero c cancels no coefficient, so the result is
+    canonical; a zero shift or c = 1 skips that step.
     """
     if any(shift):
         if c == 1:
@@ -87,6 +87,7 @@ def _shift_terms(terms: dict, shift: tuple[int, ...], c: Fraction) -> dict:
 def _mul_terms(a: dict, b: dict) -> dict:
     """Product of two canonical term dicts, a's terms in the outer loop.
 
+    Coefficients may be ints or Fractions (int dicts give an int dict).
     A one-term operand is applied as an exponent shift and a coefficient
     scale (``_shift_terms``); the result's term order is the same as the
     full double loop would give.
@@ -97,7 +98,7 @@ def _mul_terms(a: dict, b: dict) -> dict:
     if len(a) == 1:
         ((e, c),) = a.items()
         return _shift_terms(b, e, c)
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict[tuple[int, ...], Scalar] = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             e = tuple(map(add, e1, e2))
@@ -115,7 +116,8 @@ def _mul_terms(a: dict, b: dict) -> dict:
 
 def _add_into(out: dict, terms: dict, op=add) -> dict:
     """out += terms (or out -= terms with ``op=sub``) on canonical term
-    dicts, in place; a cancelled monomial is deleted.  Returns out."""
+    dicts with int or Fraction coefficients, in place; a cancelled
+    monomial is deleted.  Returns out."""
     for e, c in terms.items():
         v = out.get(e)
         if v is None:
@@ -127,6 +129,29 @@ def _add_into(out: dict, terms: dict, op=add) -> dict:
             else:
                 del out[e]
     return out
+
+
+def _signed_sum(terms) -> str:
+    """(monomial text, nonzero coefficient) pairs, in the given order,
+    as the text of a signed sum such as "x^2 - 3*x*y + 1/2".
+
+    An empty monomial text marks the constant term, a unit coefficient
+    is left out, and an empty sum prints as "0".
+    """
+    parts = []
+    for mono, c in terms:
+        a = abs(c)
+        parts.append(" - " if c < 0 else " + ")
+        if not mono:
+            parts.append(str(a))
+        elif a == 1:
+            parts.append(mono)
+        else:
+            parts.append(f"{a}*{mono}")
+    if not parts:
+        return "0"
+    parts[0] = "-" if parts[0] == " - " else ""
+    return "".join(parts)
 
 
 @dataclass(frozen=True)
@@ -378,27 +403,11 @@ class MultiPoly:
     # -- printing ------------------------------------------------------
 
     def to_string(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for exps in sorted(self.terms, key=_grevlex_key, reverse=True):
-            c = self.terms[exps]
-            mono = "*".join(
-                self.vars.names[k] if e == 1 else f"{self.vars.names[k]}^{e}"
-                for k, e in enumerate(exps) if e
-            )
-            if not mono:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{abs(c)}*{mono}"
-            parts.append((c < 0, body))
-        first_neg, first_body = parts[0]
-        text = ("-" if first_neg else "") + first_body
-        for neg, body in parts[1:]:
-            text += (" - " if neg else " + ") + body
-        return text
+        names = self.vars.names
+        return _signed_sum(
+            ("*".join(names[k] if e == 1 else f"{names[k]}^{e}" for k, e in enumerate(exps) if e),
+             self.terms[exps])
+            for exps in sorted(self.terms, key=_grevlex_key, reverse=True))
 
     def __str__(self) -> str:
         return self.to_string()

@@ -1,7 +1,9 @@
 """Independent brute-force oracles used to cross-check the engines."""
 
 from fractions import Fraction
+from math import comb
 
+from webweave.cohomcalc import INCIDENCE, CohomClass
 from webweave.polycore import MultiPoly, PolyMatrix, UsageError, poly_det
 
 
@@ -129,3 +131,30 @@ def to_sympy(sympy, f, syms):
 def from_sympy(sympy, p, table):
     """A sympy ``Poly`` in the table's variables, as a MultiPoly."""
     return MultiPoly(table, {tuple(m): Fraction(str(sympy.Rational(c))) for m, c in p.terms()})
+
+
+def chern_closed_form(n, j):
+    """sum_i (-1)^i C(n+1, j-i) xi^(j-i) (xi+xi')^i in the free ring.
+
+    The binomial expansion is written out term by term, so no class
+    product is used; the result is the reference for ``chern_T``.
+    """
+    coeffs = {}
+    for i in range(j + 1):
+        for k in range(i + 1):
+            m = (j - i + k, i - k)
+            coeffs[m] = coeffs.get(m, 0) + (-1) ** i * comb(n + 1, j - i) * comb(i, k)
+    return CohomClass(n, INCIDENCE, coeffs)
+
+
+def chern_recursion(n, j):
+    """c_j = C(n+1, j) xi^j - (xi + xi') c_{j-1} from c_0 = 1, in the free
+    ring, on plain coefficient dicts."""
+    c = {(0, 0): 1}
+    for t in range(1, j + 1):
+        nxt = {(t, 0): comb(n + 1, t)}
+        for (a, b), v in c.items():
+            for m in ((a + 1, b), (a, b + 1)):
+                nxt[m] = nxt.get(m, 0) - v
+        c = nxt
+    return CohomClass(n, INCIDENCE, c)

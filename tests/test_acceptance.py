@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 from math import comb, prod
 
-from oracles import macaulay_certificate, macaulay_member
+from oracles import chern_closed_form, chern_recursion, macaulay_certificate, macaulay_member
 from webweave.cohomcalc import (
     CohomClass,
     MultiDegreeData,
@@ -156,8 +156,13 @@ def test_criterion_4_cohomology_ring_suite():
                 ref = sum(1 for a in range(n + 1) for b in range(n) if a + b == k)
                 assert count == ref
             assert nf(xi ** (n - 1) * xip**n) == xi**n * xip ** (n - 1)
+        # Chern classes in every dimension the CLI accepts: the free-ring
+        # recursion equals the closed form, and chern_T reduces it
+        for n in range(1, 13):
             for j in range(n + 1):
-                chern_T(n, j)  # asserts recursion == closed form internally
+                closed = chern_closed_form(n, j)
+                assert chern_recursion(n, j) == closed
+                assert chern_T(n, j) == nf(closed)
             assert nf(chern_T(n, n)) == CohomClass.zero(n)
 
 

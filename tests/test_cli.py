@@ -423,6 +423,21 @@ def test_all_requested_charts_degenerate(tmp_path, capsys):
         assert code == EXIT_OK and json.loads(out)["aggregated"]
 
 
+def test_repeated_chart_reported_once(capsys):
+    # the report body of a repeated --chart is that of a single one; only
+    # charts_requested echoes the arguments as given
+    path = str(SAMPLES / "cusp.json")
+    code, out, _ = run_cli(["smooth", path, "--chart", "1,0", "--chart", "1,0"], capsys)
+    assert code == EXIT_OK
+    twice = json.loads(out)
+    code, out, _ = run_cli(["smooth", path, "--chart", "1,0"], capsys)
+    once = json.loads(out)
+    assert twice.pop("charts_requested") == ["1,0", "1,0"]
+    assert once.pop("charts_requested") == ["1,0"]
+    assert twice == once
+    assert [c["chart"] for c in twice["per_chart"]] == [[1, 0]]
+
+
 def test_invalid_chart_option(tmp_path, capsys):
     path = write(tmp_path, CONIC)
     code, _, err = run_cli(["caustic", path, "--chart", "9,9"], capsys)

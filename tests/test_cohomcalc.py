@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import chern_closed_form, chern_recursion
 from webweave.cohomcalc import (
     INCIDENCE,
     PRODUCT,
@@ -93,6 +94,37 @@ def test_integration_rejects_non_top():
         integrate(xi(2))
 
 
+def _seeded_classes(rng, n, ring, count):
+    for _ in range(count):
+        yield CohomClass(n, ring, {(rng.randint(0, 2 * n + 1), rng.randint(0, 2 * n + 1)):
+                                   rng.randint(-9, 9) for _ in range(rng.randint(0, 8))})
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_nf_matches_sympy_reduction(n):
+    # {relation, xi^(n+1)} is a lex Groebner basis with xi' first, and nf
+    # is the remainder modulo it; the product ring truncates at n
+    sympy = pytest.importorskip("sympy")
+    x, xp = sympy.symbols("xi xp")
+
+    def expr(c):
+        return sum((v * x**i * xp**j for (i, j), v in c.coeffs.items()), sympy.Integer(0))
+
+    def terms(r):
+        return {m: int(v) for m, v in sympy.Poly(r, x, xp).as_dict().items() if v}
+
+    relation = expr(relation_class(n))
+    basis = sympy.groebner([relation, x ** (n + 1)], xp, x, order="lex")
+    assert set(basis.exprs) == {relation, x ** (n + 1)}
+    rng = random.Random(1000 + n)
+    for c in _seeded_classes(rng, n, INCIDENCE, 20):
+        _, r = sympy.reduced(expr(c), list(basis.exprs), xp, x, order="lex")
+        assert nf(c).coeffs == terms(r)
+    for c in _seeded_classes(rng, n, PRODUCT, 20):
+        _, r = sympy.reduced(expr(c), [x ** (n + 1), xp ** (n + 1)], xp, x, order="lex")
+        assert nf(c).coeffs == terms(r)
+
+
 def test_product_ring_integration():
     c = xi(2, PRODUCT) ** 2 * xip(2, PRODUCT) ** 2
     assert integrate(c) == 1
@@ -108,11 +140,14 @@ def test_chern_examples_n2():
     assert nf(chern_T(2, 2)) == CohomClass.zero(2)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", range(1, 13))
 def test_chern_recursion_consistency(n):
-    # chern_T itself asserts recursion == closed form before reducing
+    # every dimension the CLI accepts: the free-ring recursion equals the
+    # closed form, and chern_T is the normal form of the closed form
     for j in range(n + 1):
-        chern_T(n, j)
+        closed = chern_closed_form(n, j)
+        assert chern_recursion(n, j) == closed
+        assert chern_T(n, j) == nf(closed)
     assert nf(chern_T(n, n)) == CohomClass.zero(n)
 
 
