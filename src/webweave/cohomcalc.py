@@ -55,6 +55,21 @@ class CohomClass:
         raise AttributeError("CohomClass is immutable")
 
     @classmethod
+    def _trusted(cls, n: int, ring: str, coeffs: dict[Monom, int]) -> "CohomClass":
+        """Wrap a coefficient dict that is already canonical, without checking it.
+
+        Only for the operators and ``nf``: their term-dict helpers keep
+        the checked ring and give (i, j) tuples of non-negative ints with
+        nonzero int coefficients, the form ``__init__`` checks.  The dict
+        is taken over, not copied.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "coeffs", coeffs)
+        return self
+
+    @classmethod
     def zero(cls, n: int, ring: str = INCIDENCE) -> "CohomClass":
         return cls(n, ring, {})
 
@@ -80,13 +95,13 @@ class CohomClass:
         raise UsageError("cannot combine cohomology class with this value")
 
     def __add__(self, other) -> "CohomClass":
-        return CohomClass(self.n, self.ring,
-                          _add_into(dict(self.coeffs), self._coerce(other).coeffs))
+        return CohomClass._trusted(self.n, self.ring,
+                                   _add_into(dict(self.coeffs), self._coerce(other).coeffs))
 
     __radd__ = __add__
 
     def __neg__(self) -> "CohomClass":
-        return CohomClass(self.n, self.ring, {m: -c for m, c in self.coeffs.items()})
+        return CohomClass._trusted(self.n, self.ring, {m: -c for m, c in self.coeffs.items()})
 
     def __sub__(self, other) -> "CohomClass":
         return self + (-self._coerce(other))
@@ -95,7 +110,8 @@ class CohomClass:
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "CohomClass":
-        return CohomClass(self.n, self.ring, _mul_terms(self.coeffs, self._coerce(other).coeffs))
+        return CohomClass._trusted(self.n, self.ring,
+                                   _mul_terms(self.coeffs, self._coerce(other).coeffs))
 
     __rmul__ = __mul__
 
@@ -156,12 +172,12 @@ def nf(c: CohomClass) -> CohomClass:
     """
     n = c.n
     if c.ring == PRODUCT:
-        return CohomClass(n, PRODUCT, {(i, j): v for (i, j), v in c.coeffs.items()
-                                       if i <= n and j <= n})
+        return CohomClass._trusted(n, PRODUCT, {(i, j): v for (i, j), v in c.coeffs.items()
+                                                if i <= n and j <= n})
     divisors = [_element(relation_class(n).coeffs, _XI_PRIME_FIRST),
                 _element({(n + 1, 0): 1}, _XI_PRIME_FIRST)]
     remainder, _ = _reduce(dict(c.coeffs), divisors, _XI_PRIME_FIRST)
-    return CohomClass(n, INCIDENCE, dict(remainder))
+    return CohomClass._trusted(n, INCIDENCE, dict(remainder))
 
 
 def integrate(c: CohomClass) -> int:

@@ -27,9 +27,7 @@ from .polycore import (
     VarTable,
     _adjugate,
     _minor_table,
-    exact_divide,
     is_bihomogeneous,
-    multivar_gcd,
     scalar_equal,
     substitute,
 )
@@ -256,7 +254,12 @@ def rehomogenize(form: ChartForm, bidegree: tuple[int, int] | None = None) -> Bi
 
 
 class RatFunc:
-    """Quotient of two polynomials over one table, kept reduced."""
+    """Quotient num / den of two polynomials over one table, stored as given.
+
+    Nothing is reduced: a chart transition keeps each quotient over the
+    denominator it states (see ``ChartTransition``), valid wherever that
+    denominator does not vanish.  Equality is exact, by cross-multiplying.
+    """
 
     __slots__ = ("num", "den")
 
@@ -267,45 +270,11 @@ class RatFunc:
             raise UsageError("zero denominator")
         if num.vars != den.vars:
             raise UsageError("numerator and denominator tables differ")
-        if num:
-            g = multivar_gcd([num, den])
-            if not g.is_constant():
-                num = exact_divide(num, g)
-                den = exact_divide(den, g)
-            _, lead = den.leading()
-            if lead < 0:
-                num, den = -num, -den
-        else:
-            den = MultiPoly.const(num.vars, 1)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
     def __setattr__(self, *a):  # pragma: no cover - guard only
         raise AttributeError("RatFunc is immutable")
-
-    @classmethod
-    def const(cls, table: VarTable, c) -> "RatFunc":
-        return cls(MultiPoly.const(table, c))
-
-    def __add__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
-
-    def __mul__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "RatFunc") -> "RatFunc":
-        if not other.num:
-            raise UsageError("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __bool__(self) -> bool:
-        return bool(self.num)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -323,8 +292,6 @@ class RatFunc:
         return self.num.evaluate(point) / d
 
     def __repr__(self) -> str:
-        if self.den == 1:
-            return f"RatFunc({self.num})"
         return f"RatFunc(({self.num})/({self.den}))"
 
 
@@ -337,6 +304,13 @@ class ChartTransition:
     the source/target slot order, K its adjugate (so J K = det(J) I), and
     ``frame_det`` the induced transition factor for wedges of the contact
     frame fields; these are the covariance data of chart forms.
+
+    Every quotient is stored unreduced over the denominator it is built
+    with, and is valid on the chart overlap, where that denominator is a
+    unit.  With den = X_{i'} read in the source chart (``_coordinate_maps``)
+    the denominators are: the coordinate quotient's own (X_{i'} for
+    ``x_map``, u_{j'} for ``p_map``), den^2 for J, den^(2(n-1)) for K and
+    ``frame_det``, and den^(2n) for ``jac_det``.
     """
 
     source: Chart
@@ -360,6 +334,9 @@ def _frame_data(source: Chart, nums: Sequence[MultiPoly], den: MultiPoly):
     over one common denominator, all polynomials in the source chart
     coordinates.  The Jacobian is M / den^2 with M a polynomial matrix,
     so det(J) and adj(J) are det(M) and adj(M) over powers of den^2.
+    Each entry is returned unreduced over exactly those denominators:
+    den^2 for J, den^(2(k-1)) for K and the frame factor, and den^(2k)
+    for det(J), k the number of slots; they hold where den is nonzero.
     """
     slots = [f"x{k}" for k in source.slot_indices]
     M = PolyMatrix.from_rows([[f.derivative(s) * den - f * den.derivative(s) for s in slots]
@@ -397,6 +374,12 @@ def transition(c1: Chart, c2: Chart) -> ChartTransition:
 
 
 def transport_point(t: ChartTransition, point: Mapping[str, Fraction]) -> dict[str, Fraction]:
+    """The target coordinates of a source-chart point on the overlap.
+
+    The maps are stored unreduced over their stated denominators and are
+    valid on the chart overlap; a point where one of those denominators
+    vanishes raises ``UsageError``.
+    """
     return {name: expr.evaluate(point) for name, expr in t.maps.items()}
 
 
@@ -418,9 +401,9 @@ def covariance_check(S: BiHomogPde, c1: Chart, c2: Chart) -> bool:
 
     Read in chart c1, the chart c2 coordinates are (X/X_{i'}, u/(-u_{j'})),
     so for H of bi-degree (delta, d) the pullback of the c2 form is the c1
-    form F1 times X_{i'}^-delta (-u_{j'})^-d.  With the pullback of the raw
-    coordinate quotients (no RatFunc) written N / D, the check is the
-    polynomial identity N X_{i'}^delta (-u_{j'})^d = D F1.
+    form F1 times X_{i'}^-delta (-u_{j'})^-d.  With the pullback of the
+    coordinate quotients written N / D, the check is the polynomial
+    identity N X_{i'}^delta (-u_{j'})^d = D F1.
     """
     sub = c1.substitution()
     maps = {name: (num, den) for name, num, den in _coordinate_maps(c1, c2, sub)}

@@ -4,7 +4,14 @@ from fractions import Fraction
 from math import comb
 
 from webweave.cohomcalc import INCIDENCE, CohomClass
-from webweave.polycore import MultiPoly, PolyMatrix, UsageError, poly_det
+from webweave.polycore import (
+    MultiPoly,
+    PolyMatrix,
+    UsageError,
+    exact_divide,
+    multivar_gcd,
+    poly_det,
+)
 
 
 def monomials_up_to(table, bound):
@@ -54,6 +61,67 @@ def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fracti
     for row, col in pivots:
         x[col] = aug[row][ncols]
     return x
+
+
+class Quotient:
+    """Reference quotient of two polynomials, always in lowest terms.
+
+    The canonical form divides numerator and denominator by their gcd,
+    makes the denominator's leading coefficient positive, and gives a
+    zero numerator the denominator 1; every arithmetic result is brought
+    to it.  ``Quotient.of`` reduces anything with ``num``/``den``, so
+    quotients stored over other denominators compare by term maps.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: MultiPoly, den: MultiPoly | None = None):
+        if den is None:
+            den = MultiPoly.const(num.vars, 1)
+        if not den:
+            raise UsageError("zero denominator")
+        if num:
+            g = multivar_gcd([num, den])
+            if not g.is_constant():
+                num, den = exact_divide(num, g), exact_divide(den, g)
+            if den.leading()[1] < 0:
+                num, den = -num, -den
+        else:
+            den = MultiPoly.const(num.vars, 1)
+        self.num, self.den = num, den
+
+    @classmethod
+    def of(cls, r) -> "Quotient":
+        return cls(r.num, r.den)
+
+    def __add__(self, other: "Quotient") -> "Quotient":
+        return Quotient(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    def __sub__(self, other: "Quotient") -> "Quotient":
+        return self + -other
+
+    def __neg__(self) -> "Quotient":
+        return Quotient(-self.num, self.den)
+
+    def __mul__(self, other: "Quotient") -> "Quotient":
+        return Quotient(self.num * other.num, self.den * other.den)
+
+    def __truediv__(self, other: "Quotient") -> "Quotient":
+        if not other.num:
+            raise UsageError("division by the zero quotient")
+        return Quotient(self.num * other.den, self.den * other.num)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (int, Fraction)):
+            return self.num == other * self.den
+        if not isinstance(other, Quotient):
+            return NotImplemented
+        return self.num * other.den == other.num * self.den
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Quotient(({self.num})/({self.den}))"
 
 
 def resultant(f: MultiPoly, g: MultiPoly, v: str) -> MultiPoly:

@@ -1,11 +1,15 @@
 """Quotient-ring normal forms, Chern recursion, and numeric certificates."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from oracles import chern_closed_form, chern_recursion
+from test_cli import REPORT_DIGESTS, SAMPLES, _without_input
+from webweave.cli import main
 from webweave.cohomcalc import (
     INCIDENCE,
     PRODUCT,
@@ -16,6 +20,7 @@ from webweave.cohomcalc import (
     chern_T,
     integrate,
     nf,
+    normal_bundle_c1,
     relation_class,
     script_N,
 )
@@ -223,3 +228,61 @@ def test_multidegree_validation():
     assert m.sigma1 == Fraction(1, 2) + Fraction(2, 4)
     assert m.sigma2 == Fraction(1, 2) * Fraction(2, 4)
     assert m.degree == 2 and m.weight == 8
+
+
+def _cohom_violation(n, ring, coeffs):
+    """Why the arguments are not in the form the checking constructor keeps."""
+    if ring not in (INCIDENCE, PRODUCT) or type(n) is not int or n < 1:
+        return f"ring {ring!r} of dimension {n!r}"
+    for m, c in coeffs.items():
+        if type(m) is not tuple or len(m) != 2 or any(type(e) is not int or e < 0 for e in m):
+            return f"monomial {m!r}"
+        if type(c) is not int or not c:
+            return f"coefficient {c!r}"
+    return None
+
+
+def _cohomcalc_sweep():
+    """Chern classes, certificates and seeded ring products, as text."""
+    out = [[chern_T(n, j).to_string() for j in range(n + 1)] for n in range(1, 9)]
+    rng = random.Random(18)
+    for n in range(2, 6):
+        for _ in range(10):
+            m = MultiDegreeData(n, tuple((rng.randint(0, 3), rng.randint(1, 4))
+                                         for _ in range(n - 1)))
+            out.append((bott_number(m), caustic_certificate(m).coefficients,
+                        str(script_N(m)), nf(normal_bundle_c1(m) ** 2).to_string()))
+        for ring in (INCIDENCE, PRODUCT):
+            a, b = _seeded_classes(rng, n, ring, 2)
+            out.append(nf(a * b - (a + 2) ** 2).to_string())
+    return out
+
+
+def test_trusted_classes_keep_canonical_form(monkeypatch, capsys):
+    # every class the operators and nf wrap without checking goes through
+    # the full check here, across the chern, bott and certify reports on
+    # the samples and a sweep of the module; the reports must stay
+    # byte-identical to the recorded ones and the sweep unchanged
+    trusted = CohomClass.__dict__["_trusted"].__func__
+    violations, built = [], [0]
+
+    def checked(cls, n, ring, coeffs):
+        built[0] += 1
+        why = _cohom_violation(n, ring, coeffs)
+        if why:
+            violations.append(why)
+        return trusted(cls, n, ring, coeffs)
+
+    reference = _cohomcalc_sweep()
+    monkeypatch.setattr(CohomClass, "_trusted", classmethod(checked))
+
+    recorded = json.loads(REPORT_DIGESTS.read_text(encoding="utf-8"))
+    for path in sorted(SAMPLES.glob("*.json")):
+        for command in ("chern", "bott", "certify"):
+            code = main([command, str(path)])
+            out = _without_input(capsys.readouterr().out, [])
+            key = f"{command} {path.name}"
+            assert [code, hashlib.sha256(out.encode("utf-8")).hexdigest()] == recorded[key], key
+    assert _cohomcalc_sweep() == reference
+    assert not violations, violations[:5]
+    assert built[0] > 1_000

@@ -1,6 +1,7 @@
 """Chart forms, transitions, covariance, homogenization, duality."""
 
 import hashlib
+import importlib.util
 import itertools
 import random
 from fractions import Fraction
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from webweave import contactgeom
+from oracles import Quotient
+from webweave import cli, cohomcalc, contactgeom, idealcalc, polycore, webanalysis
 from webweave.cli import parse_input
 from webweave.contactgeom import (
     BiHomogPde,
@@ -37,6 +39,7 @@ C02 = Chart(2, 0, 2)
 T02 = C02.table
 x1, x2, p1 = (MultiPoly.var(T02, n) for n in ("x1", "x2", "p1"))
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def corpus_n2():
@@ -269,13 +272,14 @@ def _fraction_det(m):
 
 def _jk_identity(t):
     k = len(t.J)
-    table = t.source.table
+    J, K = ([[Quotient.of(e) for e in row] for row in m] for m in (t.J, t.K))
+    det = Quotient.of(t.jac_det)
     for r in range(k):
         for c in range(k):
-            acc = RatFunc.const(table, 0)
+            acc = Quotient(MultiPoly.zero(t.source.table))
             for m in range(k):
-                acc = acc + t.J[r][m] * t.K[m][c]
-            assert acc == (t.jac_det if r == c else 0)
+                acc = acc + J[r][m] * K[m][c]
+            assert acc == (det if r == c else 0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -297,27 +301,31 @@ def test_p_transition_matches_adjugate_formula(n):
     # adjugate contractions (symbolically, as rational functions)
     for c1, c2 in _transition_pairs(n):
         t = transition(c1, c2)
-        table = c1.table
-        nslot = len(t.K) - 1
-        denom = RatFunc.const(table, 0)
-        for b, k in enumerate(c1.p_indices):
-            denom = denom + RatFunc(c1.p(k)) * t.K[b][nslot]
-        denom = denom - t.K[nslot][nslot]
+        K = [[Quotient.of(e) for e in row] for row in t.K]
+        p = [Quotient(c1.p(k)) for k in c1.p_indices]
+        nslot = len(K) - 1
+        zero = Quotient(MultiPoly.zero(c1.table))
+        denom = zero
+        for b, pk in enumerate(p):
+            denom = denom + pk * K[b][nslot]
+        denom = denom - K[nslot][nslot]
         for a, (name, direct) in enumerate(t.p_map):
-            numer = RatFunc.const(table, 0)
-            for b, k in enumerate(c1.p_indices):
-                numer = numer + RatFunc(c1.p(k)) * t.K[b][a]
-            numer = numer - t.K[nslot][a]
-            assert -(numer / denom) == direct, (c1, c2, name)
+            numer = zero
+            for b, pk in enumerate(p):
+                numer = numer + pk * K[b][a]
+            numer = numer - K[nslot][a]
+            assert -(numer / denom) == Quotient.of(direct), (c1, c2, name)
 
 
 def _term_key(r: RatFunc):
-    return tuple(sorted((e, str(c)) for e, c in f.terms.items()) for f in (r.num, r.den))
+    q = Quotient.of(r)
+    return tuple(sorted((e, str(c)) for e, c in f.terms.items()) for f in (q.num, q.den))
 
 
 def test_transition_digests():
-    # the exact representations, not only their values: one SHA-256 over the
-    # sorted term maps of every ordered pair of distinct charts at n = 2, 3, 4
+    # the exact values in lowest terms: one SHA-256 over the sorted term
+    # maps of the reduced quotients of every ordered pair of distinct charts
+    # at n = 2, 3, 4
     h = hashlib.sha256()
     for n in (2, 3, 4):
         atlas = standard_atlas(n)
@@ -329,6 +337,62 @@ def test_transition_digests():
                     _term_key(t.jac_det), _term_key(t.frame_det))
             h.update(repr(data).encode())
     assert h.hexdigest() == "bff0d9af14cb124c231bf904247b8ce3f56c63db7f2f0ec0cbe4b2e0e263cc64"
+
+
+def test_transitions_keep_stated_denominators(monkeypatch):
+    """Transitions take no gcd: each quotient stays over the denominator it
+    is built with, den = X_{i'} read in the source chart.
+
+    The coordinate maps keep their own denominators, J entries have den^2,
+    K entries and the frame factor den^(2(n-1)), and the Jacobian
+    determinant den^(2n).
+    """
+    calls = [0]
+    gcd = polycore.multivar_gcd
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return gcd(*args, **kwargs)
+
+    for module in (polycore, idealcalc, contactgeom, webanalysis, cohomcalc, cli):
+        for name, value in list(vars(module).items()):
+            if value is gcd:
+                monkeypatch.setattr(module, name, counting)
+    n = 3
+    pairs = [(c1, c2) for c1, c2 in itertools.product(standard_atlas(n), repeat=2) if c1 != c2]
+    assert len(pairs) == 132
+    for c1, c2 in pairs:
+        t = transition(c1, c2)
+        sub = c1.substitution()
+        den = sub[f"X{c2.i}"]
+        assert all(r.den == den for _, r in t.x_map), (c1, c2)
+        assert all(r.den == sub[f"u{c2.j}"] for _, r in t.p_map), (c1, c2)
+        assert all(e.den == den ** 2 for row in t.J for e in row), (c1, c2)
+        assert all(e.den == den ** (2 * (n - 1)) for row in t.K for e in row), (c1, c2)
+        assert t.frame_det.den == den ** (2 * (n - 1)), (c1, c2)
+        assert t.jac_det.den == den ** (2 * n), (c1, c2)
+    assert calls == [0]
+
+
+def _load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_fits_the_program():
+    # the benchmark wraps functions and methods by name and reads the
+    # num/den of every transition entry; a rename or a changed field
+    # shows here, not only in a full benchmark run
+    tracer, witness = _load_perfbench("tracer"), _load_perfbench("witness")
+    wrapped = {getattr(orig, "__qualname__", None) for _, _, orig, _ in tracer.Tracer()._patches()}
+    assert {"RatFunc.__init__", "poly_det", "poly_adjugate", "transition"} <= wrapped
+    rng = random.Random(18)
+    for n in (2, 3, 4):
+        pairs = list(itertools.permutations(standard_atlas(n), 2))
+        for c1, c2 in rng.sample(pairs, 6):
+            assert witness.transition_witness(transition(c1, c2), rng) is None, (c1, c2)
 
 
 def _sample_point(rng, chart):

@@ -10,7 +10,7 @@ import pytest
 from oracles import from_sympy, macaulay_certificate, macaulay_member, resultant, to_sympy
 from webweave import idealcalc, polycore
 from webweave.cli import parse_input
-from webweave.contactgeom import standard_atlas, transition
+from webweave.contactgeom import standard_atlas
 from webweave.idealcalc import (
     GREVLEX,
     LEX,
@@ -382,21 +382,6 @@ def _count_pseudo_remainders(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(polycore, "_pseudo_rem", counting)
     return calls
-
-
-def test_transitions_skip_pseudo_remainders(monkeypatch):
-    """Chart transitions reduce RatFuncs over powers of one variable.
-
-    Their gcds have a constant or monomial operand at every level, so the
-    closed-form monomial gcd answers them without the primitive PRS; with
-    the PRS alone, the 132 n = 3 transitions made 1,092 pseudo-remainders.
-    """
-    calls = _count_pseudo_remainders(monkeypatch)
-    pairs = [(c1, c2) for c1, c2 in itertools.product(standard_atlas(3), repeat=2) if c1 != c2]
-    assert len(pairs) == 132
-    for c1, c2 in pairs:
-        transition(c1, c2)
-    assert calls == [0]
 
 
 def test_input_warnings_skip_pseudo_remainders(monkeypatch):
