@@ -44,7 +44,6 @@ from .idealcalc import (
     ideal_member,
     is_trivial_ideal,
     normal_form,
-    s_polynomial,
 )
 from .polycore import (
     MultiPoly,

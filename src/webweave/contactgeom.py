@@ -14,7 +14,7 @@ duality at the level of equations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -57,10 +57,14 @@ class BiHomogPde:
 
     Valid equations are nonzero, have u-degree d >= 1, and are not
     divisible by the incidence form (divisible ones cut out nothing new).
+    The equation keeps its chart forms, each restricted on first request
+    (``chart_form``).
     """
 
     n: int
     poly: MultiPoly
+    bidegree: tuple[int, int] = field(init=False, repr=False, compare=False)
+    _forms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.poly.vars != VarTable.bihomog(self.n):
@@ -74,12 +78,7 @@ class BiHomogPde:
             raise UsageError("u-degree (weight) must be at least 1")
         if not reduce_mod_incidence(self.n, self.poly):
             raise UsageError("polynomial is divisible by the incidence form")
-
-    @property
-    def bidegree(self) -> tuple[int, int]:
-        bd = is_bihomogeneous(self.poly)
-        assert bd is not None
-        return bd
+        object.__setattr__(self, "bidegree", bd)
 
     def canonical_poly(self) -> MultiPoly:
         return reduce_mod_incidence(self.n, self.poly)
@@ -190,10 +189,14 @@ class ChartForm:
 
 
 def chart_form(S: BiHomogPde, chart: Chart) -> ChartForm:
+    """The restriction of S to the chart, built once per equation and chart."""
     if chart.n != S.n:
         raise UsageError("chart and equation dimensions differ")
-    F, _ = substitute(S.poly, chart.substitution(), target=chart.table)
-    return ChartForm(chart, F)
+    form = S._forms.get(chart)
+    if form is None:
+        F, _ = substitute(S.poly, chart.substitution(), target=chart.table)
+        form = S._forms[chart] = ChartForm(chart, F)
+    return form
 
 
 def rehomogenize(form: ChartForm, bidegree: tuple[int, int] | None = None) -> BiHomogPde:

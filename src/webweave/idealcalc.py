@@ -17,7 +17,8 @@ integer coefficients: every intermediate is integer-primitive, and
 division is fraction-free, taking the leading work term from a heap
 keyed by the negated flat order key (Monagan & Pearce, "Sparse
 polynomial division using a heap", JSC 46, 2011).  ``MultiPoly`` values
-with ``Fraction`` coefficients appear only at the public boundary.
+appear only at the public boundary, with a coefficient that is an int
+when it is integral and a ``Fraction`` otherwise.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add, le, sub
 
 from .polycore import (
@@ -36,6 +36,7 @@ from .polycore import (
     _grevlex_key,
     _heap_key,
     _integer_terms,
+    _quotient,
     _subtract_shifted,
 )
 
@@ -208,16 +209,8 @@ def normal_form(f: MultiPoly, basis, order: MonomialOrder | None = None) -> Mult
     divisors = [_element(_integer_terms(g.terms)[1], order.key) for g in gens]
     content, work = _integer_terms(f.terms)
     remainder, scale = _reduce(work, divisors, order.key)
-    ratio = content / scale
-    return MultiPoly._trusted(f.vars, {e: ratio * c for e, c in remainder})
-
-
-def s_polynomial(f: MultiPoly, g: MultiPoly, order: MonomialOrder = GREVLEX) -> MultiPoly:
-    """lcm/lt(f) * f - lcm/lt(g) * g over the leading terms under ``order``."""
-    if not f or not g:
-        raise UsageError("zero polynomial has no leading term")
-    fel, gel = _element(f.terms, order.key), _element(g.terms, order.key)
-    return MultiPoly._trusted(f.vars, _s_pair(fel, gel, 1 / fel[1], 1 / gel[1]))
+    num, den = content.numerator, content.denominator * scale
+    return MultiPoly._trusted(f.vars, {e: _quotient(num * c, den) for e, c in remainder})
 
 
 def _lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -330,7 +323,7 @@ def buchberger(gens, order: MonomialOrder = GREVLEX,
         remainder, _ = _reduce(dict(((lead, lc), *tail)), minimal[:t] + minimal[t + 1:], key)
         lead, lc = remainder[0]
         reduced.append((key(lead), MultiPoly._trusted(
-            table, {e: Fraction(c, lc) for e, c in remainder})))
+            table, {e: _quotient(c, lc) for e, c in remainder})))
     reduced.sort(key=lambda kg: kg[0])
     return IdealBasis(tuple(g for _, g in reduced), order)
 

@@ -1,10 +1,12 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
 Everything downstream (ideal computations, chart geometry, web verdicts)
-runs on this kernel: immutable sparse polynomials with Fraction
+runs on this kernel: immutable sparse polynomials with rational
 coefficients over a fixed variable table, plus the derivative /
-substitution / determinant / gcd toolkit.  No floating
-point anywhere; all results are exact.
+substitution / determinant / gcd toolkit.  A coefficient is an int when
+it is integral and a Fraction otherwise, so integer inputs stay on int
+arithmetic.  No floating point anywhere: every division between
+coefficients goes through ``_quotient``, and all results are exact.
 """
 
 from __future__ import annotations
@@ -58,7 +60,20 @@ def _subtract_shifted(work, heap, key, tail, shift, q) -> None:
                 del work[t]
 
 
-def _integer_terms(terms: Mapping[tuple[int, ...], Fraction]) -> tuple[Fraction, dict]:
+def _quotient(a: Scalar, b: Scalar) -> Scalar:
+    """The exact quotient a / b: an int when it is integral, else a Fraction.
+
+    Two ints never meet ``/`` here, which would give a float.
+    """
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _integer_terms(terms: Mapping[tuple[int, ...], Scalar]) -> tuple[Fraction, dict]:
     """Positive content c and the integer-coprime term map p with terms = c * p."""
     denom = math.lcm(*(c.denominator for c in terms.values()))
     ints = {e: c.numerator * (denom // c.denominator) for e, c in terms.items()}
@@ -215,16 +230,23 @@ class VarTable:
         return tuple(self.names[k] for k in self.group(label))
 
 
-def _as_fraction(c: Scalar) -> Fraction:
+def _as_scalar(c: Scalar) -> Scalar:
+    """An exact coefficient in canonical form: an int when it is integral
+    (a bool becomes 0 or 1), else a Fraction; anything else is rejected."""
     if isinstance(c, Fraction):
-        return c
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     raise UsageError(f"coefficients must be exact rationals, got {type(c).__name__}")
 
 
 class MultiPoly:
-    """Sparse polynomial: map from exponent vectors to nonzero Fractions.
+    """Sparse polynomial: map from exponent vectors to nonzero rationals.
+
+    A coefficient is an int when it is integral and a Fraction otherwise;
+    arithmetic on int coefficients stays on ints.  Only arithmetic on
+    Fractions can leave an integral Fraction, which compares and hashes
+    like the int.
 
     Values are immutable after construction; all operations return fresh
     polynomials.  Two polynomials over the same table are equal iff their
@@ -235,14 +257,14 @@ class MultiPoly:
 
     def __init__(self, vars: VarTable, terms: Mapping[tuple[int, ...], Scalar]):
         width = len(vars.names)
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], Scalar] = {}
         for exps, c in terms.items():
             exps = tuple(exps)
             if len(exps) != width:
                 raise UsageError("exponent vector length does not match table")
             if any(e < 0 for e in exps):
                 raise UsageError("negative exponent")
-            c = _as_fraction(c)
+            c = _as_scalar(c)
             if c:
                 clean[exps] = c
         object.__setattr__(self, "vars", vars)
@@ -252,13 +274,16 @@ class MultiPoly:
         raise AttributeError("MultiPoly is immutable")
 
     @classmethod
-    def _trusted(cls, vars: VarTable, terms: dict[tuple[int, ...], Fraction]) -> "MultiPoly":
+    def _trusted(cls, vars: VarTable, terms: dict[tuple[int, ...], Scalar]) -> "MultiPoly":
         """Wrap a term dict that is already canonical, without checking it.
 
         Only for kernel producers that guarantee the form ``__init__``
         checks: exponent tuples of the table's width with non-negative
-        int entries, and nonzero Fraction coefficients.  The dict is
-        taken over, not copied.
+        int entries, and nonzero coefficients that are ints (never a bool)
+        or Fractions, never floats.  Producers give an int for an integral
+        value they divide out (``_quotient``); products and sums of
+        Fractions may stay integral Fractions.  The dict is taken over,
+        not copied.
         """
         self = object.__new__(cls)
         _set_vars(self, vars)
@@ -273,14 +298,14 @@ class MultiPoly:
 
     @classmethod
     def const(cls, vars: VarTable, c: Scalar) -> "MultiPoly":
-        c = _as_fraction(c)
+        c = _as_scalar(c)
         return cls._trusted(vars, {(0,) * len(vars.names): c} if c else {})
 
     @classmethod
     def var(cls, vars: VarTable, name: str) -> "MultiPoly":
         k = vars.index(name)
         exps = tuple(1 if t == k else 0 for t in range(len(vars.names)))
-        return cls(vars, {exps: 1})
+        return cls._trusted(vars, {exps: 1})
 
     @classmethod
     def monomial(cls, vars: VarTable, exps: Sequence[int], c: Scalar = 1) -> "MultiPoly":
@@ -363,7 +388,7 @@ class MultiPoly:
                     used.add(self.vars.names[k])
         return used
 
-    def leading(self, key=_grevlex_key) -> tuple[tuple[int, ...], Fraction]:
+    def leading(self, key=_grevlex_key) -> tuple[tuple[int, ...], Scalar]:
         if not self.terms:
             raise UsageError("zero polynomial has no leading term")
         exps = max(self.terms, key=key)
@@ -372,7 +397,7 @@ class MultiPoly:
     def collect(self, name: str) -> dict[int, "MultiPoly"]:
         """Coefficients of self viewed as a polynomial in ``name``."""
         k = self.vars.index(name)
-        out: dict[int, dict[tuple[int, ...], Fraction]] = {}
+        out: dict[int, dict[tuple[int, ...], Scalar]] = {}
         for e, c in self.terms.items():
             rest = tuple(0 if t == k else x for t, x in enumerate(e))
             out.setdefault(e[k], {})[rest] = c
@@ -388,7 +413,7 @@ class MultiPoly:
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
         vals = [None] * len(self.vars.names)
         for name, v in point.items():
-            vals[self.vars.index(name)] = _as_fraction(v)
+            vals[self.vars.index(name)] = _as_scalar(v)
         total = Fraction(0)
         for e, c in self.terms.items():
             term = c
@@ -490,7 +515,7 @@ def substitute(
     # den^(deg - e), also when e = 0, so all terms share the cleared
     # denominator D
     width = len(out_table.names)
-    one = {(0,) * width: Fraction(1)}
+    one = {(0,) * width: 1}
     factors: dict[int, list[dict]] = {}
     clear = one
     for name, (num, den) in pairs.items():
@@ -503,7 +528,7 @@ def substitute(
             npows if den == 1 else [_mul_terms(npows[e], dpows[d - e]) for e in range(d + 1)])
         clear = _mul_terms(clear, dpows[d])
 
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict[tuple[int, ...], Scalar] = {}
     for exps, c in f.terms.items():
         carried = [0] * width
         for k, e in enumerate(exps):
@@ -527,7 +552,7 @@ def scalar_equal(f: MultiPoly, g: MultiPoly) -> bool:
     if set(f.terms) != set(g.terms):
         return False
     exps = next(iter(f.terms))
-    ratio = f.terms[exps] / g.terms[exps]
+    ratio = _quotient(f.terms[exps], g.terms[exps])
     return all(c == ratio * g.terms[e] for e, c in f.terms.items())
 
 
@@ -553,12 +578,12 @@ def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly | None:
         raise UsageError("operands live over different variable tables")
     if len(g.terms) == 1:
         ((ge, gc),) = g.terms.items()
-        shifted: dict[tuple[int, ...], Fraction] = {}
+        shifted: dict[tuple[int, ...], Scalar] = {}
         for e, c in f.terms.items():
             qe = tuple(a - b for a, b in zip(e, ge))
             if min(qe) < 0:
                 return None
-            shifted[qe] = c / gc
+            shifted[qe] = _quotient(c, gc)
         return MultiPoly._trusted(f.vars, shifted)
     fcont, work = _integer_terms(f.terms)
     gcont, gint = _integer_terms(g.terms)
@@ -580,7 +605,8 @@ def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly | None:
         quot[qe] = qc
         _subtract_shifted(work, heap, _grevlex_key, tail, qe, qc)
     ratio = fcont / gcont
-    return MultiPoly._trusted(f.vars, {e: ratio * c for e, c in quot.items()})
+    return MultiPoly._trusted(f.vars, {e: _quotient(ratio.numerator * c, ratio.denominator)
+                                       for e, c in quot.items()})
 
 
 def integer_primitive(f: MultiPoly) -> tuple[Fraction, MultiPoly]:
@@ -595,7 +621,7 @@ def integer_primitive(f: MultiPoly) -> tuple[Fraction, MultiPoly]:
     if ints[max(ints, key=_grevlex_key)] < 0:
         content = -content
         ints = {e: -c for e, c in ints.items()}
-    return content, MultiPoly._trusted(f.vars, {e: Fraction(c) for e, c in ints.items()})
+    return content, MultiPoly._trusted(f.vars, ints)
 
 
 # -- polynomial matrices ----------------------------------------------
@@ -660,7 +686,7 @@ def _minor_table(M: PolyMatrix):
         hit = memo.get((rows, cols))
         if hit is None:
             top, rest = grid[rows[0]], rows[1:]
-            acc: dict[tuple[int, ...], Fraction] = {}
+            acc: dict[tuple[int, ...], Scalar] = {}
             for t, c in enumerate(cols):
                 if top[c]:
                     sub_minor = minor(rest, cols[:t] + cols[t + 1:])
@@ -811,7 +837,7 @@ def _gcd_pair(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     if len(f.terms) == 1 or len(g.terms) == 1:
         # the divisors of a monomial are monomials, and x^m divides a
         # polynomial iff m is at most each of its exponent vectors
-        return MultiPoly._trusted(f.vars, {tuple(map(min, *f.terms, *g.terms)): Fraction(1)})
+        return MultiPoly._trusted(f.vars, {tuple(map(min, *f.terms, *g.terms)): 1})
     if _coprime_by_evaluation(f, g):
         return MultiPoly.const(f.vars, 1)
     used = sorted(f.vars.index(n) for n in f.variables_used() | g.variables_used())

@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import comb
 
 from webweave.cohomcalc import INCIDENCE, CohomClass
+from webweave.idealcalc import GREVLEX
 from webweave.polycore import (
     MultiPoly,
     PolyMatrix,
@@ -45,7 +46,7 @@ def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fracti
             continue
         aug[r], aug[pivot] = aug[pivot], aug[r]
         pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
+        aug[r] = [Fraction(x) / pv for x in aug[r]]
         for t in range(m):
             if t != r and aug[t][c]:
                 factor = aug[t][c]
@@ -151,6 +152,16 @@ def resultant(f: MultiPoly, g: MultiPoly, v: str) -> MultiPoly:
     for shift in range(m):
         rows.append([zero] * shift + grow + [zero] * (m - 1 - shift))
     return poly_det(PolyMatrix.from_rows(rows))
+
+
+def s_polynomial(f: MultiPoly, g: MultiPoly, order=GREVLEX) -> MultiPoly:
+    """lcm/lt(f) * f - lcm/lt(g) * g over the leading terms under ``order``."""
+    if not f or not g:
+        raise UsageError("zero polynomial has no leading term")
+    (fe, fc), (ge, gc) = f.leading(order.key), g.leading(order.key)
+    lcm = tuple(map(max, fe, ge))
+    return (MultiPoly.monomial(f.vars, [a - b for a, b in zip(lcm, fe)], Fraction(1, fc)) * f
+            - MultiPoly.monomial(g.vars, [a - b for a, b in zip(lcm, ge)], Fraction(1, gc)) * g)
 
 
 def macaulay_certificate(f, gens, bound):

@@ -11,7 +11,13 @@ import time
 from fractions import Fraction
 from math import comb, prod
 
-from oracles import chern_closed_form, chern_recursion, macaulay_certificate, macaulay_member
+from oracles import (
+    chern_closed_form,
+    chern_recursion,
+    macaulay_certificate,
+    macaulay_member,
+    s_polynomial,
+)
 from webweave.cohomcalc import (
     CohomClass,
     MultiDegreeData,
@@ -33,7 +39,7 @@ from webweave.contactgeom import (
     transition,
     transport_point,
 )
-from webweave.idealcalc import buchberger, normal_form, s_polynomial
+from webweave.idealcalc import buchberger, normal_form
 from webweave.polycore import MultiPoly, UsageError, VarTable, scalar_equal
 from webweave.webanalysis import (
     CiWeb,

@@ -339,6 +339,29 @@ def test_transition_digests():
     assert h.hexdigest() == "bff0d9af14cb124c231bf904247b8ce3f56c63db7f2f0ec0cbe4b2e0e263cc64"
 
 
+def test_integer_inputs_stay_on_ints():
+    # the kernel's fast path: chart substitutions, Jacobian minors and the
+    # adjugate of integer data give int coefficients, never Fractions
+    def polys(t):
+        for r in (*t.maps.values(), *itertools.chain(*t.J, *t.K), t.jac_det, t.frame_det):
+            yield from (r.num, r.den)
+
+    count = 0
+    for n in (2, 3, 4):
+        for c1, c2 in itertools.permutations(standard_atlas(n), 2):
+            count += 1
+            assert all(type(c) is int for f in polys(transition(c1, c2))
+                       for c in f.terms.values()), (c1, c2)
+    assert count == 542
+    samples = sorted(SAMPLES.glob("*.json"))
+    assert len(samples) == 4
+    for path in samples:
+        for S in parse_input(str(path))[0].pdes:
+            assert all(type(c) is int for c in S.poly.terms.values()), path.name
+            for chart in standard_atlas(S.n):
+                assert all(type(c) is int for c in chart_form(S, chart).poly.terms.values())
+
+
 def test_transitions_keep_stated_denominators(monkeypatch):
     """Transitions take no gcd: each quotient stays over the denominator it
     is built with, den = X_{i'} read in the source chart.
@@ -460,11 +483,34 @@ def test_covariance_all_pairs_corpus():
             assert covariance_check(S, c1, c2), (S.poly.to_string(), c1, c2)
 
 
-def test_covariance_all_pairs_n3():
+def test_covariance_all_pairs_n3(monkeypatch):
+    # the equation keeps its chart forms and its bi-degree: the 132-pair
+    # sweep restricts it once per chart and never recomputes the bi-degree
     doc, _ = parse_input(str(SAMPLES / "mixed_n3.json"))
     S = doc.pdes[0]
-    for c1, c2 in itertools.product(standard_atlas(3), repeat=2):
+    restricted, bidegrees = [], [0]
+    substitute, bihomogeneous = contactgeom.substitute, contactgeom.is_bihomogeneous
+
+    def counted_substitute(f, *args, **kwargs):
+        if f is S.poly:
+            restricted.append(kwargs["target"])
+        return substitute(f, *args, **kwargs)
+
+    def counted_bihomogeneous(f):
+        bidegrees[0] += 1
+        return bihomogeneous(f)
+
+    monkeypatch.setattr(contactgeom, "substitute", counted_substitute)
+    monkeypatch.setattr(contactgeom, "is_bihomogeneous", counted_bihomogeneous)
+    pairs = [(c1, c2) for c1, c2 in itertools.product(standard_atlas(3), repeat=2) if c1 != c2]
+    assert len(pairs) == 132
+    for c1, c2 in pairs:
         assert covariance_check(S, c1, c2), (c1, c2)
+    assert len(restricted) == 12
+    assert bidegrees == [0]
+    for c1 in standard_atlas(3):
+        assert covariance_check(S, c1, c1)
+    assert len(restricted) == 12
 
 
 def test_covariance_n4_stretch_pairs():

@@ -7,7 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from oracles import from_sympy, macaulay_certificate, macaulay_member, resultant, to_sympy
+from oracles import (
+    from_sympy,
+    macaulay_certificate,
+    macaulay_member,
+    resultant,
+    s_polynomial,
+    to_sympy,
+)
 from webweave import idealcalc, polycore
 from webweave.cli import parse_input
 from webweave.contactgeom import standard_atlas
@@ -21,7 +28,6 @@ from webweave.idealcalc import (
     ideal_member,
     is_trivial_ideal,
     normal_form,
-    s_polynomial,
 )
 from webweave.polycore import (
     MultiPoly,

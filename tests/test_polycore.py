@@ -72,6 +72,12 @@ def test_mismatched_tables_rejected():
 # -- the public constructor's checks ------------------------------------
 
 
+def _canonical_coefficient(c) -> bool:
+    """A nonzero int that is not a bool, or a nonzero Fraction: the only
+    coefficient values a term dict may hold (never a float or a zero)."""
+    return type(c) in (int, Fraction) and c != 0
+
+
 def test_constructor_rejects_wrong_width():
     with pytest.raises(UsageError, match="length"):
         MultiPoly(T, {(1, 0): 1})
@@ -93,8 +99,8 @@ def test_constructor_rejects_float_coefficient():
 
 def test_constructor_drops_zero_coefficients():
     f = MultiPoly(T, {(1, 0, 0): 0, (0, 1, 0): Fraction(0), (0, 0, 1): 2})
-    assert f.terms == {(0, 0, 1): Fraction(2)}
-    assert all(type(c) is Fraction for c in f.terms.values())
+    assert f.terms == {(0, 0, 1): 2}
+    assert all(_canonical_coefficient(c) for c in f.terms.values())
     assert not MultiPoly(T, {(2, 0, 0): 0})
 
 
@@ -525,6 +531,48 @@ def test_scalar_equal():
     assert scalar_equal(MultiPoly.zero(T), MultiPoly.zero(T))
 
 
+def test_integral_coefficients_are_ints():
+    e = (1, 0, 0)
+    for f, want in ((MultiPoly(T, {e: True}), 1), (MultiPoly.const(T, Fraction(4, 2)), 2),
+                    (MultiPoly(T, {e: Fraction(-6, 3)}), -2)):
+        (c,) = f.terms.values()
+        assert type(c) is int and c == want
+    assert type(MultiPoly(T, {e: Fraction(3, 2)}).terms[e]) is Fraction
+
+
+def test_int_operands_divide_exactly():
+    # int coefficients meet in quotients: a float there would round
+    # (10^30 + 1 lies past a double's mantissa) instead of staying exact;
+    # quotients come back as ints when integral and Fractions otherwise
+    sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols(T.names)
+    rng = random.Random(59)
+    big = 10**30 + 1
+    assert scalar_equal(big * (X1 + X2), X1 + X2)
+    assert not scalar_equal(big * X1 + (big - 1) * X2, X1 + X2)
+    assert exact_divide(big * X1 * X2, X2).terms == {(1, 0, 0): big}
+    for k in range(40):
+        g = (_multi_term_poly(rng, T, max_terms=3, max_exp=2) if k % 2
+             else _rand_monomial(rng, rng.choice((1, -2, 3))))
+        h = rand_poly(rng, max_terms=3, max_exp=2)
+        num, den = rng.choice((1, 2, -3, big)), rng.choice((1, 2, 5, big))
+        f, g = h * g * num, g * den
+        if k % 4 == 3:
+            f = f + _rand_monomial(rng)
+        assert all(type(c) is int for p in (f, g) for c in p.terms.values())
+        F, G = (_sympy_poly(sympy, p, syms) for p in (f, g))
+        q, r = sympy.div(F, G)
+        got = exact_divide(f, g)
+        if r.is_zero:
+            assert got == from_sympy(sympy, q, T), (f, g)
+            assert all(type(c) is (int if c.denominator == 1 else Fraction)
+                       for c in got.terms.values())
+        else:
+            assert got is None, (f, g)
+        ratio = sympy.cancel(F.as_expr() / G.as_expr())
+        assert scalar_equal(f, g) == (bool(f) and ratio.is_number), (f, g)
+
+
 # -- kernel operations against sympy ------------------------------------
 
 
@@ -557,7 +605,7 @@ def test_kernel_ops_match_sympy(table):
     def check(got, expr):
         want = from_sympy(sympy, sympy.Poly(sympy.expand(expr), *syms, domain="QQ"), table)
         assert got == want and got.terms == want.terms, (got, want)
-        assert all(type(c) is Fraction and c for c in got.terms.values())
+        assert all(_canonical_coefficient(c) for c in got.terms.values())
 
     for _ in range(30):
         a, b = (_rand_operand(rng, table, rng.choice(OPERAND_KINDS)) for _ in range(2))
@@ -620,7 +668,7 @@ def test_substitute_matches_sympy(same_table):
         assert sympy.expand(to_sympy(sympy, D, syms) - want_D) == 0
         want_g = from_sympy(sympy, sympy.Poly(sympy.cancel(want_D * F), *syms, domain="QQ"), T)
         assert g.terms == want_g.terms, (f, mapping)
-        assert all(type(c) is Fraction and c for c in g.terms.values())
+        assert all(_canonical_coefficient(c) for c in g.terms.values())
 
 
 # -- the unchecked constructor keeps the canonical form -----------------
@@ -634,7 +682,7 @@ def _canonical_violation(vars, terms):
             return f"exponent vector {e!r} for {width} variables"
         if any(type(x) is not int or x < 0 for x in e):
             return f"exponent vector {e!r}"
-        if type(c) is not Fraction or not c:
+        if not _canonical_coefficient(c):
             return f"coefficient {c!r}"
     return None
 
