@@ -41,7 +41,6 @@ from .idealcalc import (
     block_order,
     buchberger,
     eliminate,
-    ideal_member,
     is_trivial_ideal,
     normal_form,
 )

@@ -328,16 +328,9 @@ def buchberger(gens, order: MonomialOrder = GREVLEX,
     return IdealBasis(tuple(g for _, g in reduced), order)
 
 
-def ideal_member(f: MultiPoly, gens, order: MonomialOrder = GREVLEX,
-                 pair_cap: int = DEFAULT_PAIR_CAP) -> bool:
-    basis = gens if isinstance(gens, IdealBasis) else buchberger(gens, order, pair_cap)
-    return not normal_form(f, basis)
-
-
-def is_trivial_ideal(gens, order: MonomialOrder = GREVLEX,
-                     pair_cap: int = DEFAULT_PAIR_CAP) -> bool:
+def is_trivial_ideal(gens, pair_cap: int = DEFAULT_PAIR_CAP) -> bool:
     """True iff 1 lies in the ideal (no common zero over the complexes)."""
-    basis = gens if isinstance(gens, IdealBasis) else buchberger(gens, order, pair_cap)
+    basis = buchberger(gens, GREVLEX, pair_cap)
     return len(basis) == 1 and basis.generators[0].is_constant()
 
 
@@ -349,7 +342,6 @@ def eliminate(gens, drop: "str | tuple[str, ...] | list[str]",
     returns the generators free of the dropped variables (a reduced basis
     of the elimination ideal in the retained variables).
     """
-    gens = list(gens.generators) if isinstance(gens, IdealBasis) else list(gens)
     gens = [g for g in gens if g]
     if not gens:
         return []

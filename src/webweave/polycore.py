@@ -657,18 +657,6 @@ class PolyMatrix:
     def row(self, r: int) -> tuple[MultiPoly, ...]:
         return self.entries[r * self.cols:(r + 1) * self.cols]
 
-    def matmul(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.cols != other.rows:
-            raise UsageError("matrix shapes do not compose")
-        out = []
-        for r in range(self.rows):
-            for c in range(other.cols):
-                acc = MultiPoly.zero(self.table)
-                for k in range(self.cols):
-                    acc = acc + self.at(r, k) * other.at(k, c)
-                out.append(acc)
-        return PolyMatrix(self.rows, other.cols, tuple(out))
-
 
 def _minor_table(M: PolyMatrix):
     """The minor of M on given rows x cols, with every minor it reaches memoized.

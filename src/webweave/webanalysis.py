@@ -7,6 +7,9 @@ computed chart by chart over the standard atlas and aggregated by
 conjunction.  Charts where the critical determinant vanishes identically
 carry no covering data and are skipped with a notice; a web degenerate
 in every chart is rejected.
+
+Quasi-smoothness and dicriticity are read off minors of one matrix per
+chart, the Jacobian bordered by the contact matrix (``ChartWebData``).
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from .cohomcalc import CausticCertificate, MultiDegreeData, bott_number, \
 from .contactgeom import BiHomogPde, Chart, chart_form, standard_atlas
 from .idealcalc import DEFAULT_PAIR_CAP, GREVLEX, IdealBasis, buchberger, \
     eliminate, is_trivial_ideal, normal_form
-from .polycore import MultiPoly, PolyMatrix, UsageError, _adjugate, _minor_table, \
-    multivar_gcd, partial_derivative
+from .polycore import MultiPoly, PolyMatrix, UsageError, _minor_table, multivar_gcd, \
+    partial_derivative
 
 
 @dataclass(frozen=True)
@@ -76,18 +79,16 @@ def is_algebraic_web(w: CiWeb) -> bool:
 class ChartWebData:
     """Per-chart package of a web: its chart forms and their Jacobian.
 
-    ``jacobian`` has rows indexed by equation and columns by the chart's
-    variables in table order (dF/dv, each computed once); every other
-    member is derived from it on first use, its minors through a minor
-    table built for that reading alone.  ``critical_det`` and
-    ``p_adjugate`` are the determinant and adjugate of its block P of
-    p-columns (P p_adjugate = critical_det I); ``contact_jacobian`` has
-    columns by contact direction (entry dF/dx_a + p_a dF/dx_j).
-    ``warnings`` are input diagnostics, ``web_basis`` and
+    ``jacobian`` J has rows indexed by equation and columns by the chart's
+    variables in table order, p-columns last (dF/dv, each computed once);
+    ``contact_jacobian`` Θ has columns by contact direction (entry
+    dF/dx_a + p_a dF/dx_j).  Every minor is read off one table of [J | Θ],
+    built on first use: ``critical_det`` is det P, P the block of
+    p-columns; ``smooth`` tells whether the forms and J's maximal minors
+    generate the unit ideal; ``obstruction`` is adj(P)·Θ by Cramer's rule.
+    ``warnings`` are input diagnostics, and ``web_basis`` and
     ``critical_basis`` the reduced bases of (F_1..F_{n-1}) and of
-    (F_1..F_{n-1}, critical_det) (None on degenerate charts), and
-    ``smooth`` tells whether the forms and the maximal minors of the
-    Jacobian generate the unit ideal.
+    (F_1..F_{n-1}, critical_det) (None on degenerate charts).
     """
 
     def __init__(self, chart: Chart, forms: tuple[MultiPoly, ...],
@@ -110,21 +111,20 @@ class ChartWebData:
             [[J.at(r, col(f"x{a}")) + chart.p(a) * J.at(r, xj) for a in chart.p_indices]
              for r in range(J.rows)])
 
-    @property
-    def _p_block(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return tuple(range(self.jacobian.rows)), self.chart.table.group("p")
+    @cached_property
+    def _minor_table(self):
+        """The minors of J bordered by Θ: column J.cols + c is Θ's column c."""
+        J, theta = self.jacobian, self.contact_jacobian
+        return _minor_table(PolyMatrix.from_rows(
+            [J.row(r) + theta.row(r) for r in range(J.rows)]))
 
     @cached_property
     def critical_det(self) -> MultiPoly:
-        return _minor_table(self.jacobian)(*self._p_block)
+        return self._minor_table(tuple(range(self.jacobian.rows)), self.chart.table.group("p"))
 
     @cached_property
     def degenerate(self) -> bool:
         return not self.critical_det
-
-    @cached_property
-    def p_adjugate(self) -> PolyMatrix:
-        return _adjugate(_minor_table(self.jacobian), *self._p_block)
 
     @cached_property
     def warnings(self) -> tuple[str, ...]:
@@ -143,18 +143,29 @@ class ChartWebData:
     @cached_property
     def smooth(self) -> bool:
         J = self.jacobian
-        minor, rows = _minor_table(J), tuple(range(J.rows))
-        minors = [minor(rows, cols) for cols in itertools.combinations(range(J.cols), J.rows)]
-        del minor  # one table for all the maximal minors, freed before the Groebner run
-        return is_trivial_ideal(list(self.forms) + minors, GREVLEX, self._pair_cap)
+        rows = tuple(range(J.rows))
+        minors = [self._minor_table(rows, cols)
+                  for cols in itertools.combinations(range(J.cols), J.rows)]
+        return is_trivial_ideal(list(self.forms) + minors, self._pair_cap)
 
     def vanishes_on_web(self, entries) -> bool:
         """Every entry lies in the ideal (F_1..F_{n-1})."""
         return all(not e or not normal_form(e, self.web_basis) for e in entries)
 
     def obstruction(self) -> PolyMatrix:
-        """The matrix whose vanishing on the critical scheme is dicriticity."""
-        return self.p_adjugate.matmul(self.contact_jacobian)
+        """adj(P)·Θ, the matrix whose vanishing on the critical scheme is
+        dicriticity.  By Cramer's rule entry (r, c) is det P with column r
+        replaced by Θ's column c; in the table that column sits after the
+        p-columns, k - 1 - r places from slot r (P is k x k)."""
+        J = self.jacobian
+        rows, pcols = tuple(range(J.rows)), self.chart.table.group("p")
+        k = len(pcols)
+        out = []
+        for r in range(k):
+            others = pcols[:r] + pcols[r + 1:]
+            minors = [self._minor_table(rows, others + (J.cols + c,)) for c in range(k)]
+            out.append(minors if (k - 1 - r) % 2 == 0 else [-m for m in minors])
+        return PolyMatrix.from_rows(out)
 
 
 def _input_warnings(data: ChartWebData) -> list[str]:
@@ -252,8 +263,9 @@ def _critical_membership(w: CiWeb, charts, hyper: bool) -> WebVerdict:
 def is_dicritical(w: CiWeb, charts=None) -> WebVerdict:
     """The induced foliation extends across the critical scheme.
 
-    Chart criterion: every entry of p_adjugate o contact_jacobian lies in
-    the ideal (F_1..F_{n-1}, critical_det).
+    Chart criterion: every entry of adj(P)·Θ (``ChartWebData.obstruction``,
+    P the p-block of the Jacobian, Θ the contact matrix) lies in the ideal
+    (F_1..F_{n-1}, critical_det).
     """
     return _critical_membership(w, charts, hyper=False)
 

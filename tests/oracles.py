@@ -125,6 +125,15 @@ class Quotient:
         return f"Quotient(({self.num})/({self.den}))"
 
 
+def matrix_product(A: PolyMatrix, B: PolyMatrix) -> PolyMatrix:
+    """Reference product A B by the schoolbook sum over the inner index."""
+    if A.cols != B.rows:
+        raise UsageError("matrix shapes do not compose")
+    return PolyMatrix.from_rows(
+        [[sum((A.at(r, k) * B.at(k, c) for k in range(A.cols)), MultiPoly.zero(A.table))
+          for c in range(B.cols)] for r in range(A.rows)])
+
+
 def resultant(f: MultiPoly, g: MultiPoly, v: str) -> MultiPoly:
     """Sylvester resultant with respect to v.
 

@@ -25,7 +25,6 @@ from webweave.idealcalc import (
     block_order,
     buchberger,
     eliminate,
-    ideal_member,
     is_trivial_ideal,
     normal_form,
 )
@@ -107,10 +106,14 @@ def test_reduced_basis_invariants():
     _reduced_invariants(buchberger([F, partial_derivative(F, "p1")]))
 
 
+def _member(f, gens) -> bool:
+    return not normal_form(f, buchberger(gens))
+
+
 def test_ideal_member_examples():
-    assert ideal_member(P1, [P1**2 - X1, 2 * P1])
-    assert not ideal_member(MultiPoly.const(T, 1), [X1, P1])
-    assert not ideal_member(MultiPoly.const(T, -1), [P1**2 - X1, 2 * P1])
+    assert _member(P1, [P1**2 - X1, 2 * P1])
+    assert not _member(MultiPoly.const(T, 1), [X1, P1])
+    assert not _member(MultiPoly.const(T, -1), [P1**2 - X1, 2 * P1])
 
 
 def test_trivial_ideal_examples():
@@ -204,7 +207,7 @@ def test_membership_agrees_with_macaulay_oracle():
         for f in (combo, arbitrary):
             if not f:
                 continue
-            via_basis = ideal_member(f, gens)
+            via_basis = _member(f, gens)
             if via_basis:
                 assert macaulay_member(f, gens), \
                     f"oracle found no certificate for {f} in {[str(g) for g in gens]}"

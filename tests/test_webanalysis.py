@@ -1,5 +1,6 @@
 """Web verdicts: critical data, dicriticity, smoothness, caustics, certification."""
 
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -7,11 +8,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from oracles import to_sympy
+from oracles import matrix_product, to_sympy
+from test_cli import _without_input
 
 import webweave.webanalysis as wa
 from webweave import contactgeom, polycore
-from webweave.cli import parse_input
+from webweave.cli import main, parse_input
 from webweave.contactgeom import BiHomogPde, Chart, ChartForm, chart_form, \
     rehomogenize, standard_atlas
 from webweave.idealcalc import is_trivial_ideal, normal_form
@@ -39,6 +41,7 @@ C02 = Chart(2, 0, 2)
 T02 = C02.table
 x1, x2, p1 = (MultiPoly.var(T02, n) for n in ("x1", "x2", "p1"))
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
+STRETCH_N4 = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "stretch_n4.json"
 
 
 # -- weights and degrees ---------------------------------------------------
@@ -69,7 +72,7 @@ def test_clairaut_chart_data(clairaut_web):
     d = chart_web_data(clairaut_web, C02)
     assert d.critical_det == 2 * p1 + 2 * x1 * (x2 - p1 * x1)
     assert d.contact_jacobian.at(0, 0) == 0
-    assert d.p_adjugate.at(0, 0) == 1
+    assert d.obstruction() == d.contact_jacobian  # adj of the 1 x 1 block P is 1
     assert not d.degenerate
 
 
@@ -77,7 +80,7 @@ def test_cusp_chart_data(cusp_web):
     d = chart_web_data(cusp_web, C02)
     assert d.critical_det == 2 * p1
     assert d.contact_jacobian.at(0, 0) == -1
-    assert d.p_adjugate.at(0, 0) == 1
+    assert d.obstruction() == d.contact_jacobian  # adj of the 1 x 1 block P is 1
     assert [g.to_string() for g in d.critical_basis] == ["p1", "x1"]
 
 
@@ -93,13 +96,14 @@ def test_n3_mixed_chart_data():
     assert P.at(0, 0) == 2 * pp1 and P.at(1, 1) == 1
     assert P.at(0, 1) == 0 and P.at(1, 0) == 0
     assert d.critical_det == 2 * pp1
-    _assert_adjugate_identity(P, d.p_adjugate, d.critical_det)
-    assert d.p_adjugate.at(0, 0) == 1 and d.p_adjugate.at(1, 1) == 2 * pp1
     th = d.contact_jacobian
     assert th.at(0, 0) == -1 and th.at(1, 1) == -1
     assert th.at(0, 1) == 0 and th.at(1, 0) == 0
+    # adj(P) = diag(1, 2 p1), so adj(P) Θ = diag(-1, -2 p1)
     ob = d.obstruction()
+    _assert_adjugate_identity(P, ob, d.critical_det, th)
     assert ob.at(0, 0) == -1 and ob.at(1, 1) == -2 * pp1
+    assert ob.at(0, 1) == 0 and ob.at(1, 0) == 0
     v = is_hyperdicritical(w, charts=[c03])
     assert v.per_chart[0].status == "false"
 
@@ -109,11 +113,13 @@ def _columns(J: PolyMatrix, cols) -> PolyMatrix:
     return PolyMatrix.from_rows([[J.at(r, c) for c in cols] for r in range(J.rows)])
 
 
-def _assert_adjugate_identity(P: PolyMatrix, adj: PolyMatrix, det: MultiPoly):
-    prod = P.matmul(adj)
+def _assert_adjugate_identity(P: PolyMatrix, ob: PolyMatrix, det: MultiPoly,
+                              theta: PolyMatrix):
+    """P adj(P) Θ = det(P) Θ, which pins adj(P) Θ down wherever det(P) != 0."""
+    prod = matrix_product(P, ob)
     for r in range(P.rows):
-        for s in range(P.rows):
-            assert prod.at(r, s) == (det if r == s else 0)
+        for c in range(theta.cols):
+            assert prod.at(r, c) == det * theta.at(r, c)
 
 
 def test_jacobian_adjugate_identity_per_chart(clairaut_web, cusp_web, fermat_web):
@@ -121,7 +127,7 @@ def test_jacobian_adjugate_identity_per_chart(clairaut_web, cusp_web, fermat_web
         for c in standard_atlas(2):
             d = chart_web_data(web, c)
             _assert_adjugate_identity(_columns(d.jacobian, c.table.group("p")),
-                                      d.p_adjugate, d.critical_det)
+                                      d.obstruction(), d.critical_det, d.contact_jacobian)
 
 
 def _seeded_webs(rng, n: int, count: int):
@@ -137,24 +143,31 @@ def _seeded_webs(rng, n: int, count: int):
     return webs
 
 
-def test_chart_minors_match_explicit_submatrices(monkeypatch):
-    # critical_det, p_adjugate and smooth's maximal minors are read off the
-    # Jacobian itself; here each one is recomputed from a submatrix that is
-    # built on its own, on the samples and on seeded webs at n = 2..5
+def _minor_webs() -> list[CiWeb]:
+    """The four samples, then seeded webs at n = 2..5."""
     rng = random.Random(14)
     webs = [parse_input(str(SAMPLES / name))[0].web() for name in
             ("clairaut_conic.json", "cusp.json", "fermat_cubic_dual.json", "mixed_n3.json")]
     for n, count in ((2, 4), (3, 3), (4, 2), (5, 2)):
         webs += _seeded_webs(rng, n, count)
+    return webs
+
+
+def test_chart_minors_match_explicit_submatrices(monkeypatch):
+    # critical_det, the obstruction and smooth's maximal minors are read off
+    # one minor table of the bordered Jacobian; here det P and the maximal
+    # minors are recomputed from submatrices built on their own, and the
+    # obstruction X checked against P X = det(P) Θ, on the samples and on
+    # seeded webs at n = 2..5
     seen = []
     monkeypatch.setattr(wa, "is_trivial_ideal",
                         lambda gens, *args: seen.append(gens) or is_trivial_ideal(gens, *args))
-    for web in webs:
+    for web in _minor_webs():
         for chart in standard_atlas(web.n):
             d = chart_web_data(web, chart)
             P = _columns(d.jacobian, chart.table.group("p"))
             assert d.critical_det == poly_det(P), chart
-            assert d.p_adjugate == poly_adjugate(P), chart
+            _assert_adjugate_identity(P, d.obstruction(), d.critical_det, d.contact_jacobian)
             if web.n > 3:
                 continue
             J = d.jacobian
@@ -162,6 +175,30 @@ def test_chart_minors_match_explicit_submatrices(monkeypatch):
                                     itertools.combinations(range(J.cols), J.rows)]
             assert d.smooth == is_trivial_ideal(gens), chart
             assert seen.pop() == gens
+
+
+def test_obstruction_is_adjugate_times_contact_matrix():
+    # Cramer's rule reads entry (r, c) of adj(P) Θ as a signed minor of
+    # [J | Θ]; the reference is the product of the adjugate of P, built as
+    # an explicit submatrix, with Θ.  At n = 4, P is 3 x 3 and every sign
+    # (-1)^(k-1-r), r = 0, 1, 2, occurs
+    for web in _minor_webs() + [parse_input(str(STRETCH_N4))[0].web()]:
+        for chart in standard_atlas(web.n):
+            d = chart_web_data(web, chart)
+            P = _columns(d.jacobian, chart.table.group("p"))
+            assert d.obstruction() == matrix_product(poly_adjugate(P), d.contact_jacobian), chart
+
+
+def test_stretch_n4_verdict_digests(capsys):
+    # no sample reaches n = 4, the first size with a 3 x 3 block P; these
+    # reports were recorded when the obstruction was the product of an
+    # explicit adjugate with Θ, and must not change by a byte
+    for command, digest in (
+            ("dicritical", "f2de835916cce52f4f68881957e14b078027b910a57d7242d8d6de1f09eea39a"),
+            ("smooth", "ce3590ae7344a26ab485c49ee53ba988835ec7032d783e0edbf3b1b36b689adb")):
+        assert main([command, str(STRETCH_N4)]) == 0
+        out = _without_input(capsys.readouterr().out, [])
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, command
 
 
 # -- dicriticity ------------------------------------------------------------
@@ -487,7 +524,8 @@ def test_certify_builds_each_chart_package_once(monkeypatch):
 
 
 def test_chart_minors_and_covariance_build_no_intermediates(monkeypatch):
-    # smooth reads all its maximal minors off one minor table per chart,
+    # each chart package reads every minor off one table, so smooth and
+    # all of certify build one per chart,
     # transition reads det and adjugate off one table per call, and a
     # covariance sweep substitutes the raw coordinate quotients, so it
     # constructs no RatFunc
@@ -511,6 +549,9 @@ def test_chart_minors_and_covariance_build_no_intermediates(monkeypatch):
     assert ratfuncs[0] == 0 and tables[0] == 0
     smoothness_chart_check(doc.web())
     assert tables[0] == len(atlas)
+    tables[0] = 0
+    certify_algebraicity(doc.web())
+    assert tables[0] == len(atlas) == 12
     for a, b in [(atlas[0], atlas[5]), (atlas[7], atlas[2]), (atlas[3], atlas[3])]:
         tables[0] = 0
         contactgeom.transition(a, b)
