@@ -16,12 +16,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, prod
-from operator import itemgetter
 from typing import Mapping
 
-from .idealcalc import _element, _reduce
-from .polycore import UsageError, _add_into, _mul_terms, _signed_sum
+from .idealcalc import _reduce
+from .polycore import (
+    MonomialOrder,
+    UsageError,
+    _add_into,
+    _mul_terms,
+    _signed_sum,
+    _top,
+    _with_packing,
+)
 
 INCIDENCE = "incidence"
 PRODUCT = "product"
@@ -154,18 +162,26 @@ class CohomClass:
         return f"CohomClass({self.to_string()})"
 
 
-# lex order comparing the xi'-exponent first; the relation's leading
-# monomial is then xi'^n, coprime to xi^(n+1)
-_XI_PRIME_FIRST = itemgetter(1, 0)
+# lex order comparing the xi'-exponent first, as a block order of two
+# one-variable blocks; the relation's leading monomial is then xi'^n,
+# coprime to xi^(n+1)
+_XI_PRIME_FIRST = MonomialOrder("block", (1,), (0,))
+
+
+@lru_cache(maxsize=None)
+def _incidence_divisors(pk, n: int) -> list:
+    """The relation and xi^(n+1) as elements of one packing."""
+    return [pk.element(relation_class(n).coeffs), pk.element({(n + 1, 0): 1})]
 
 
 def nf(c: CohomClass) -> CohomClass:
     """Normal form in the quotient ring.
 
     Incidence ring: the remainder of the engine's division
-    (``idealcalc._reduce``) by the relation and xi^(n+1).  In the lex
-    order with xi' compared first their leading monomials xi'^n and
-    xi^(n+1) are coprime, so the pair is a Groebner basis and the
+    (``idealcalc._reduce``, on packed monomials, restarted wider if the
+    xi-exponent outgrows its field) by the relation and xi^(n+1).  In
+    the lex order with xi' compared first their leading monomials xi'^n
+    and xi^(n+1) are coprime, so the pair is a Groebner basis and the
     remainder lies on the basis {xi^i xi'^j : i <= n, j <= n-1}; both
     leading coefficients are 1, so the division never rescales and the
     remainder is integral.  Product ring: drop exponents above n.
@@ -174,10 +190,13 @@ def nf(c: CohomClass) -> CohomClass:
     if c.ring == PRODUCT:
         return CohomClass._trusted(n, PRODUCT, {(i, j): v for (i, j), v in c.coeffs.items()
                                                 if i <= n and j <= n})
-    divisors = [_element(relation_class(n).coeffs, _XI_PRIME_FIRST),
-                _element({(n + 1, 0): 1}, _XI_PRIME_FIRST)]
-    remainder, _ = _reduce(dict(c.coeffs), divisors, _XI_PRIME_FIRST)
-    return CohomClass._trusted(n, INCIDENCE, dict(remainder))
+
+    def run(pk):
+        remainder, _ = _reduce(pk.pack(c.coeffs), _incidence_divisors(pk, n), pk.guards)
+        return pk.unpack(remainder)
+
+    remainder = _with_packing(_XI_PRIME_FIRST, 2, max(n + 1, _top(c.coeffs)), run)
+    return CohomClass._trusted(n, INCIDENCE, remainder)
 
 
 def integrate(c: CohomClass) -> int:

@@ -15,29 +15,39 @@ S-polynomial reductions actually performed.
 Inside completion and division, polynomials are raw term dicts with
 integer coefficients: every intermediate is integer-primitive, and
 division is fraction-free, taking the leading work term from a heap
-keyed by the negated flat order key (Monagan & Pearce, "Sparse
-polynomial division using a heap", JSC 46, 2011).  ``MultiPoly`` values
-appear only at the public boundary, with a coefficient that is an int
-when it is integral and a ``Fraction`` otherwise.
+(Monagan & Pearce, "Sparse polynomial division using a heap", JSC 46,
+2011).  Each monomial is packed into one int (``polycore._Packing``),
+keyed by its heap entry, an int that puts the negated flat order key
+above the packed exponents, so products, shifts, divisibility and lcms
+are integer adds and masks and the heap compares ints.  A monomial that
+outgrows its fields restarts the call with wider ones.  ``MultiPoly``
+values appear only at the public boundary, with a coefficient that is
+an int when it is integral and a ``Fraction`` otherwise.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
-from operator import add, le, sub
+from itertools import chain, repeat
+from operator import and_, sub
 
+# the monomial orders live in polycore beside the packing that flattens
+# their keys; GREVLEX, LEX and MonomialOrder stay importable from here
 from .polycore import (
+    GREVLEX,
+    LEX,
+    MonomialOrder,
     MultiPoly,
     UsageError,
     VarTable,
-    _grevlex_key,
-    _heap_key,
     _integer_terms,
+    _Packing,
     _quotient,
-    _subtract_shifted,
+    _subtract_packed,
+    _top,
+    _with_packing,
 )
 
 DEFAULT_PAIR_CAP = 10_000
@@ -45,37 +55,6 @@ DEFAULT_PAIR_CAP = 10_000
 
 class PairCapExceeded(RuntimeError):
     """Buchberger ran past its safety cap; inputs are out of desk scale."""
-
-
-@dataclass(frozen=True)
-class MonomialOrder:
-    """Total order on exponent vectors, compatible with multiplication.
-
-    kind 'grevlex' and 'lex' need no extra data; kind 'block' carries the
-    index partition (eliminated group compared first, grevlex within each
-    block), which makes it an elimination order for the first group.
-    ``key`` is a flat tuple of integers, compared lexicographically.
-    """
-
-    kind: str
-    elim: tuple[int, ...] = ()
-    keep: tuple[int, ...] = ()
-
-    def key(self, exps: tuple[int, ...]) -> tuple[int, ...]:
-        if self.kind == "grevlex":
-            return _grevlex_key(exps)
-        if self.kind == "lex":
-            return exps
-        if self.kind == "block":
-            # both grevlex keys have fixed lengths, so comparing the
-            # concatenation compares the eliminated block first
-            return (*_grevlex_key([exps[k] for k in self.elim]),
-                    *_grevlex_key([exps[k] for k in self.keep]))
-        raise UsageError(f"unknown monomial order kind {self.kind!r}")
-
-
-GREVLEX = MonomialOrder("grevlex")
-LEX = MonomialOrder("lex")
 
 
 def block_order(table: VarTable, eliminated: "str | tuple[str, ...] | list[str]") -> MonomialOrder:
@@ -104,20 +83,7 @@ class IdealBasis:
         return len(self.generators)
 
 
-def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return all(map(le, a, b))
-
-
-def _element(terms: dict, key) -> tuple:
-    """(leading monomial, leading coefficient, tail items) of a term dict,
-    negated where needed so that the leading coefficient is positive."""
-    lead = max(terms, key=key)
-    if terms[lead] < 0:
-        terms = {e: -c for e, c in terms.items()}
-    return lead, terms[lead], tuple((e, c) for e, c in terms.items() if e != lead)
-
-
-def _primitive_element(terms: dict) -> tuple:
+def _primitive_element(terms: list) -> tuple:
     """The element of a nonzero integer remainder (``_reduce`` output),
     divided by its content and sign so the leading coefficient is positive."""
     g = math.gcd(*(c for _, c in terms))
@@ -128,62 +94,57 @@ def _primitive_element(terms: dict) -> tuple:
     return terms[0][0], terms[0][1], tuple(terms[1:])
 
 
-def _reduce(work: dict, divisors, key) -> tuple[list, int]:
-    """Fraction-free remainder of an integer term dict (consumed).
+def _reduce(work: dict, divisors, guards: int) -> tuple[list, int]:
+    """Fraction-free remainder of a packed integer term dict (consumed).
 
-    The leading work term comes off a heap of (heap key, monomial)
-    entries; cancelled monomials leave stale entries that are skipped.
-    It is cancelled by the first divisor in list order whose leading
-    monomial divides it, after scaling the work by gc/gcd(gc, wc), or
-    else moved to the remainder.  Divisors are ``_element`` triples with
-    positive leading coefficients.  Returns ``(remainder, scale)``: the
-    remainder's (monomial, integer) items in decreasing order, and the
-    positive integer with scale * f minus the remainder in the ideal of
-    the divisors; divided by ``scale``, the remainder is the exact one of
-    division over Q with the same selection rule.  It takes exponent
-    tuples of any width: ``cohomcalc.nf`` divides (xi, xi') classes.
+    ``work`` maps heap entries (``polycore._Packing``) to integers.  The
+    leading work term comes off a heap of entries; cancelled monomials
+    leave stale entries that are skipped.  It is cancelled by the first
+    divisor in list order whose leading monomial divides it, after scaling
+    the work by gc/gcd(gc, wc), or else moved to the remainder.  Divisors
+    are ``_Packing.element`` triples with positive leading coefficients,
+    and the shifted divisor tail is subtracted by ``_subtract_packed``.
+    Returns ``(remainder, scale)``: the remainder's (entry, integer) items
+    in decreasing order, and the positive integer with scale * f minus
+    the remainder in the ideal of the divisors; divided by ``scale``, the
+    remainder is the exact one of division over Q with the same selection
+    rule.  ``cohomcalc.nf`` divides (xi, xi') classes with it.
     """
-    heap = [(_heap_key(key, e), e) for e in work]
+    heap = list(work)
     heapq.heapify(heap)
     remainder = []
     scale = 1
     while heap:
-        we = heapq.heappop(heap)[1]
+        we = heapq.heappop(heap)
         wc = work.pop(we, 0)
         if not wc:
             continue
         for ge, gc, tail in divisors:
-            if all(map(le, ge, we)):
+            shift = we - ge
+            if not shift & guards:
                 d = math.gcd(gc, wc)
                 if d != gc:
                     m = gc // d
                     for e in work:
                         work[e] *= m
                     scale *= m
-                _subtract_shifted(work, heap, key, tail, tuple(map(sub, we, ge)), wc // d)
+                _subtract_packed(work, heap, tail, shift, wc // d, guards)
                 break
         else:
             remainder.append((we, wc, scale))
     return [(e, c * (scale // s)) for e, c, s in remainder], scale
 
 
-def _s_pair(f: tuple, g: tuple, a, b) -> dict:
+def _s_pair(f: tuple, g: tuple, a, b, lcm: int, guards: int) -> dict:
     """a * x^(l - lm f) * tail f - b * x^(l - lm g) * tail g, l the lcm of
-    the leading monomials: the S-polynomial of f and g when
-    a * lc(f) = b * lc(g), built on raw term dicts."""
+    the leading monomials with heap entry ``lcm``: the S-polynomial of f
+    and g when a * lc(f) = b * lc(g), built on packed term dicts."""
     fe, _, ftail = f
     ge, _, gtail = g
-    lcm = _lcm(fe, ge)
-    shift = tuple(map(sub, lcm, fe))
-    out = {tuple(map(add, e, shift)): a * c for e, c in ftail}
-    shift = tuple(map(sub, lcm, ge))
-    for e, c in gtail:
-        t = tuple(map(add, e, shift))
-        v = out.get(t, 0) - b * c
-        if v:
-            out[t] = v
-        else:
-            out.pop(t, None)
+    out: dict = {}
+    # ``_reduce`` builds the heap of the result, so none is kept here
+    _subtract_packed(out, [], ftail, lcm - fe, -a, guards)
+    _subtract_packed(out, [], gtail, lcm - ge, b, guards)
     return out
 
 
@@ -195,7 +156,7 @@ def normal_form(f: MultiPoly, basis, order: MonomialOrder | None = None) -> Mult
     leading term of the work is cancelled by the first generator (in
     list order) whose leading monomial divides it, so the remainder is
     exact and fixed by the generators' order; it is computed
-    fraction-free and divided back at the end.
+    fraction-free on packed monomials and divided back at the end.
     """
     gens = list(basis.generators) if isinstance(basis, IdealBasis) else list(basis)
     if order is None:
@@ -206,44 +167,46 @@ def normal_form(f: MultiPoly, basis, order: MonomialOrder | None = None) -> Mult
             raise UsageError("polynomial and basis live over different tables")
     if not f or not gens:
         return f
-    divisors = [_element(_integer_terms(g.terms)[1], order.key) for g in gens]
+    divisors = [_integer_terms(g.terms)[1] for g in gens]
     content, work = _integer_terms(f.terms)
-    remainder, scale = _reduce(work, divisors, order.key)
+
+    def run(pk: _Packing):
+        remainder, scale = _reduce(pk.pack(work), [pk.element(g) for g in divisors], pk.guards)
+        return pk.unpack(remainder), scale
+
+    remainder, scale = _with_packing(order, len(f.vars.names), _top(work, *divisors), run)
     num, den = content.numerator, content.denominator * scale
-    return MultiPoly._trusted(f.vars, {e: _quotient(num * c, den) for e, c in remainder})
+    return MultiPoly._trusted(f.vars, {e: _quotient(num * c, den) for e, c in remainder.items()})
 
 
-def _lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(map(max, a, b))
-
-
-def _coprime(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return not any(map(min, a, b))
-
-
-def _update(leads, live, pairs, k):
+def _update(pk: _Packing, leads, live, pairs, k):
     """Gebauer–Möller update of the live list and pair heap for new element k.
 
-    Old pairs go by criterion B (the new leading monomial divides their lcm
-    and gives a different lcm with either end).  Of the new pairs with the
-    live elements, a pair goes by criteria M and F when another new pair's
-    lcm divides its lcm (of equal lcms the last survives), and then by the
-    product criterion when the two leading monomials are coprime.  Returns
-    the new live list and pair heap.
+    ``leads`` are packed leading monomials.  Old pairs go by criterion B
+    (the new leading monomial divides their lcm and gives a different lcm
+    with either end).  Of the new pairs with the live elements, a pair
+    goes by criteria M and F when another new pair's lcm divides its lcm
+    (of equal lcms the last survives), and then by the product criterion
+    when the two leading monomials are coprime, that is when their lcm is
+    their product.  Returns the new live list and pair heap.
     """
     h = leads[k]
+    guards, lcm = pk.guards, pk.lcm
     kept = [p for p in pairs
-            if not (_divides(h, p[3]) and _lcm(leads[p[1]], h) != p[3]
-                    and _lcm(leads[p[2]], h) != p[3])]
-    new = [(i, _lcm(leads[i], h)) for i in live]
-    chosen: list[tuple[int, tuple[int, ...]]] = []
-    for t, (i, lcm) in enumerate(new):
-        if _coprime(leads[i], h) or not any(
-                all(map(le, m, lcm)) for _, m in itertools.chain(new[t + 1:], chosen)):
-            chosen.append((i, lcm))
-    kept.extend((sum(lcm), i, k, lcm) for i, lcm in chosen if not _coprime(leads[i], h))
+            if (p[3] - h) & guards or lcm(leads[p[1]], h) == p[3]
+            or lcm(leads[p[2]], h) == p[3]]
+    new = [lcm(leads[i], h) for i in live]
+    chosen: list[int] = []
+    for t, (i, m) in enumerate(zip(live, new)):
+        coprime = m == leads[i] + h
+        # no later new lcm and no chosen one divides m
+        if coprime or all(map(and_, map(sub, repeat(m), chain(new[t + 1:], chosen)),
+                              repeat(guards))):
+            chosen.append(m)
+            if not coprime:
+                kept.append((sum(pk.exps(m)), i, k, m))
     heapq.heapify(kept)
-    return [i for i in live if not _divides(h, leads[i])] + [k], kept
+    return [i for i in live if (leads[i] - h) & guards] + [k], kept
 
 
 def buchberger(gens, order: MonomialOrder = GREVLEX,
@@ -261,14 +224,18 @@ def buchberger(gens, order: MonomialOrder = GREVLEX,
     the reduced basis.
 
     Deterministic: pairs are processed by minimal lcm total degree with
-    ties broken by generator index.  Elements are kept as integer-primitive
-    term dicts with a positive leading coefficient; S-polynomials are
-    formed from them directly and made primitive before the fraction-free
-    heap division (``_reduce``), and a ``MultiPoly`` is built only for each
-    monic element of the result.  ``pair_cap`` bounds the S-polynomial
-    reductions actually performed (pairs a criterion discards do not
-    count); exceeding it raises PairCapExceeded rather than truncating
-    silently.
+    ties broken by generator index.  The inputs are packed once on entry
+    (``polycore._Packing``, fields sized from their largest exponent) and
+    the result unpacked once on exit; elements are packed integer-primitive
+    term dicts with a positive leading coefficient, S-polynomials are formed
+    from them directly and made primitive before the fraction-free heap
+    division (``_reduce``), and a ``MultiPoly`` is built only for each
+    monic element of the result.  A monomial that outgrows its fields
+    restarts the completion with wider ones; orders and divisibility do
+    not depend on the width, so the restart makes the same decisions.
+    ``pair_cap`` bounds the S-polynomial reductions actually performed in
+    the run that completes (pairs a criterion discards do not count);
+    exceeding it raises PairCapExceeded rather than truncating silently.
     """
     gens = [g for g in gens if g]
     if not gens:
@@ -276,24 +243,32 @@ def buchberger(gens, order: MonomialOrder = GREVLEX,
     table = gens[0].vars
     if any(g.vars != table for g in gens):
         raise UsageError("generators live over different variable tables")
+    inputs = [_integer_terms(g.terms)[1] for g in gens]
+    nvars = len(table.names)
+    generators = _with_packing(order, nvars, _top(*inputs),
+                               lambda pk: _complete(pk, table, inputs, pair_cap))
+    return IdealBasis(generators, order)
 
-    key = order.key
+
+def _complete(pk: _Packing, table: VarTable, inputs: list, pair_cap: int) -> tuple:
+    """``buchberger``'s completion and inter-reduction on one packing."""
+    guards = pk.guards
     # Every element found so far divides, in insertion order; superseded
     # ones still lie in the ideal, and with the live ones alone the
     # coefficients swelled on one block-order caustic chart of a mixed_n3
     # variant, which then ran past 60 s instead of 0.4 s.
     basis: list[tuple] = []
-    leads: list[tuple[int, ...]] = []
+    leads: list[int] = []
     live: list[int] = []
-    pairs: list[tuple[int, int, int, tuple[int, ...]]] = []
+    pairs: list[tuple[int, int, int, int]] = []
     reductions = 0
-    inputs = gens[::-1]
+    pending = inputs[::-1]
 
-    while inputs or pairs:
-        if inputs:
-            work = _integer_terms(inputs.pop().terms)[1]
+    while pending or pairs:
+        if pending:
+            work = pk.pack(pending.pop())
         else:
-            _, a, b, _ = heapq.heappop(pairs)
+            _, a, b, lcm = heapq.heappop(pairs)
             reductions += 1
             if reductions > pair_cap:
                 raise PairCapExceeded(
@@ -301,31 +276,32 @@ def buchberger(gens, order: MonomialOrder = GREVLEX,
                     "raise WEAVE_PAIR_CAP only if the input is known to be tame")
             fc, gc = basis[a][1], basis[b][1]
             d = math.gcd(fc, gc)
-            work = _s_pair(basis[a], basis[b], gc // d, fc // d)
+            work = _s_pair(basis[a], basis[b], gc // d, fc // d, pk.entry(pk.exps(lcm)), guards)
             if not work:
                 continue
             d = math.gcd(*work.values())
             if d != 1:
                 work = {e: c // d for e, c in work.items()}
-        remainder, _ = _reduce(work, basis, key)
+        remainder, _ = _reduce(work, basis, guards)
         if not remainder:
             continue
-        if not any(remainder[0][0]):
-            return IdealBasis((MultiPoly.const(table, 1),), order)
+        if not remainder[0][0]:
+            return (MultiPoly.const(table, 1),)
         basis.append(_primitive_element(remainder))
-        leads.append(remainder[0][0])
-        live, pairs = _update(leads, live, pairs, len(basis) - 1)
+        leads.append(remainder[0][0] & pk.mask)
+        live, pairs = _update(pk, leads, live, pairs, len(basis) - 1)
 
-    # inter-reduce tails of the minimal basis
+    # inter-reduce tails of the minimal basis; sorted by increasing order
+    # key, which is decreasing entry
     minimal = [basis[t] for t in live]
-    reduced: list[tuple[tuple[int, ...], MultiPoly]] = []
+    reduced = []
     for t, (lead, lc, tail) in enumerate(minimal):
-        remainder, _ = _reduce(dict(((lead, lc), *tail)), minimal[:t] + minimal[t + 1:], key)
+        remainder, _ = _reduce(dict(((lead, lc), *tail)), minimal[:t] + minimal[t + 1:], guards)
         lead, lc = remainder[0]
-        reduced.append((key(lead), MultiPoly._trusted(
-            table, {e: _quotient(c, lc) for e, c in remainder})))
-    reduced.sort(key=lambda kg: kg[0])
-    return IdealBasis(tuple(g for _, g in reduced), order)
+        reduced.append((lead, MultiPoly._trusted(
+            table, pk.unpack((e, _quotient(c, lc)) for e, c in remainder))))
+    reduced.sort(key=lambda lg: lg[0], reverse=True)
+    return tuple(g for _, g in reduced)
 
 
 def is_trivial_ideal(gens, pair_cap: int = DEFAULT_PAIR_CAP) -> bool:

@@ -13,9 +13,12 @@ from __future__ import annotations
 
 import heapq
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, neg, sub
+from functools import lru_cache
+from itertools import chain
+from operator import add, mul, neg, sub
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -27,31 +30,172 @@ class UsageError(ValueError):
 
 def _grevlex_key(exps: tuple[int, ...]) -> tuple[int, ...]:
     # graded reverse lexicographic: higher degree wins, ties broken by the
-    # smaller exponent in the latest differing variable; flat, so the
-    # negated key (``_heap_key``) is one more pass over the tuple
+    # smaller exponent in the latest differing variable; flat and linear
+    # in the exponents, so a packing (``_Packing``) turns it into one int
     return (sum(exps), *map(neg, reversed(exps)))
 
 
-def _heap_key(key, exps: tuple[int, ...]) -> tuple[int, ...]:
-    """The negated flat order key: heapq pops the largest monomial first."""
-    return tuple(map(neg, key(exps)))
+@dataclass(frozen=True)
+class MonomialOrder:
+    """Total order on exponent vectors, compatible with multiplication.
 
-
-def _subtract_shifted(work, heap, key, tail, shift, q) -> None:
-    """work -= q * x^shift * tail on a raw term dict, in place.
-
-    ``work`` has integer coefficients and ``heap`` holds (heap key,
-    exponents) entries covering its monomials; a monomial is pushed when
-    it enters ``work``.  A cancelled monomial is deleted from ``work`` and
-    its heap entry goes stale: popping code skips entries whose monomial
-    is no longer in ``work``.
+    kind 'grevlex' and 'lex' need no extra data; kind 'block' carries the
+    index partition (eliminated group compared first, grevlex within each
+    block), which makes it an elimination order for the first group.
+    ``key`` is a flat tuple of integers, compared lexicographically, and
+    each of its entries is linear in the exponents.
     """
-    for e, c in tail:
-        t = tuple(map(add, e, shift))
+
+    kind: str
+    elim: tuple[int, ...] = ()
+    keep: tuple[int, ...] = ()
+
+    def key(self, exps: tuple[int, ...]) -> tuple[int, ...]:
+        if self.kind == "grevlex":
+            return _grevlex_key(exps)
+        if self.kind == "lex":
+            return exps
+        if self.kind == "block":
+            # both grevlex keys have fixed lengths, so comparing the
+            # concatenation compares the eliminated block first
+            return (*_grevlex_key([exps[k] for k in self.elim]),
+                    *_grevlex_key([exps[k] for k in self.keep]))
+        raise UsageError(f"unknown monomial order kind {self.kind!r}")
+
+
+GREVLEX = MonomialOrder("grevlex")
+LEX = MonomialOrder("lex")
+
+
+# -- packed monomials -------------------------------------------------
+
+
+class _Overflow(Exception):
+    """A packed monomial outgrew its fields; the run restarts wider."""
+
+
+# field stride in bits -> struct format of one field
+_FIELD_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
+# the narrowest field width a packing starts from: a byte per exponent
+_MIN_WIDTH = 7
+
+
+class _Packing:
+    """Monomials of one order and variable count packed into ints.
+
+    Exponent k fills the low ``width`` bits of the byte-aligned field at
+    bit ``k * stride``; the bit above them is a guard that is 0 in every
+    valid monomial, and the bits above the guard stay 0.  So a product is
+    ``a + b``, a divides b iff ``(b - a) & guards == 0``, and a new
+    monomial with a guard bit set has overflowed its fields.
+
+    Every order's key is linear in the exponents, so weights probed on
+    unit vectors flatten it to one int, in a mixed radix wide enough that
+    the balanced digits of a difference of two keys compare as the key
+    tuples do.  A heap entry is ``(-flat key << span) + monomial``: heapq
+    pops the largest monomial first, the entry of a shifted term is the
+    entry of the term plus the entry of the shift, and the low ``span``
+    bits are the monomial, so the divisibility test works on entries too.
+    Entries are the engine's term-dict keys; ``exps`` reads one back.
+    """
+
+    __slots__ = ("width", "guards", "mask", "_weights", "_nbytes", "_unpack")
+
+    def __init__(self, order: MonomialOrder, nvars: int, width: int):
+        stride = next(s for s in _FIELD_FORMATS if s > width)
+        span = nvars * stride
+        keys = [order.key(tuple(int(k == t) for t in range(nvars))) for k in range(nvars)]
+        weights = [0] * nvars
+        radix = 1
+        for j in reversed(range(len(keys[0]) if keys else 0)):
+            for k in range(nvars):
+                weights[k] += keys[k][j] * radix
+            radix *= 1 + ((1 << width) - 1) * sum(abs(key[j]) for key in keys)
+        self.width = width
+        self.guards = sum(1 << (k * stride + width) for k in range(nvars))
+        self.mask = (1 << span) - 1
+        self._weights = [(-w << span) + (1 << (k * stride)) for k, w in enumerate(weights)]
+        self._nbytes = span // 8
+        self._unpack = struct.Struct(f"<{nvars}{_FIELD_FORMATS[stride]}").unpack
+
+    def entry(self, exps: tuple[int, ...]) -> int:
+        return sum(map(mul, self._weights, exps))
+
+    def exps(self, entry: int) -> tuple[int, ...]:
+        return self._unpack((entry & self.mask).to_bytes(self._nbytes, "little"))
+
+    def pack(self, terms: Mapping[tuple[int, ...], Scalar]) -> dict:
+        weights = self._weights
+        return {sum(map(mul, weights, e)): c for e, c in terms.items()}
+
+    def unpack(self, items: Iterable[tuple[int, Scalar]]) -> dict:
+        unpack, mask, nbytes = self._unpack, self.mask, self._nbytes
+        return {unpack((t & mask).to_bytes(nbytes, "little")): c for t, c in items}
+
+    def element(self, terms: Mapping[tuple[int, ...], int]) -> tuple:
+        """(leading entry, leading coefficient, tail items) of an integer
+        term dict, negated where needed so that the leading coefficient is
+        positive."""
+        packed = self.pack(terms)
+        lead = min(packed)
+        if packed[lead] < 0:
+            packed = {t: -c for t, c in packed.items()}
+        lc = packed.pop(lead)
+        return lead, lc, tuple(packed.items())
+
+    def lcm(self, a: int, b: int) -> int:
+        """Per-field maximum of two monomials: the guard bits of
+        ``(a | guards) - b`` mark the fields where a is at least b."""
+        g = ((a | self.guards) - b) & self.guards
+        f = g - (g >> self.width)
+        return (a & f) | (b & ~f)
+
+
+@lru_cache(maxsize=None)
+def _packing(order: MonomialOrder, nvars: int, width: int) -> _Packing:
+    return _Packing(order, nvars, width)
+
+
+def _top(*term_maps: Mapping[tuple[int, ...], Scalar]) -> int:
+    """The largest exponent in the term maps (0 when there is none)."""
+    return max(chain.from_iterable(chain.from_iterable(term_maps)), default=0)
+
+
+def _with_packing(order: MonomialOrder, nvars: int, top: int, run):
+    """``run(packing)`` on the narrowest packing that holds ``top``, the
+    inputs' largest exponent, restarted one width wider (2 * width + 1,
+    up to 63 bits) each time it overflows.  Packings are built on first
+    use and kept.  Orders and divisibility do not depend on the width,
+    so a restart makes the same decisions."""
+    width = _MIN_WIDTH
+    while top >> width:
+        width = 2 * width + 1
+    while width < 64:
+        try:
+            return run(_packing(order, nvars, width))
+        except _Overflow:
+            width = 2 * width + 1
+    raise UsageError("exponents past 2**63 - 1 do not fit a packed monomial")
+
+
+def _subtract_packed(work: dict, heap: list, tail, shift: int, q: int, guards: int) -> None:
+    """work -= q * x^shift * tail on a packed integer term dict, in place.
+
+    ``work`` maps heap entries to integers and ``heap`` holds the entries
+    of its monomials; the entry of a shifted tail term is the tail term's
+    entry plus ``shift``, and it is pushed when it enters ``work``.  A
+    cancelled monomial is deleted from ``work`` and its heap entry goes
+    stale: popping code skips entries no longer in ``work``.  A new term
+    with a guard bit set raises ``_Overflow``.
+    """
+    for t, c in tail:
+        t += shift
         v = work.get(t)
         if v is None:
+            if t & guards:
+                raise _Overflow
             work[t] = -q * c
-            heapq.heappush(heap, (_heap_key(key, t), t))
+            heapq.heappush(heap, t)
         else:
             v -= q * c
             if v:
@@ -564,11 +708,12 @@ def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly | None:
     divides its coefficient by c, with no long division.
 
     Otherwise f is cleared of denominators and g made integer-primitive,
-    and the division runs on one integer term dict whose leading term
-    comes off a heap (Monagan & Pearce, JSC 46, 2011).  By Gauss's lemma
-    the quotient by a primitive g is integral when it exists, so a
-    leading coefficient that g's does not divide, like a leading
-    monomial that g's does not divide, proves that g does not divide f.
+    and the division runs on one integer term dict of packed grevlex
+    monomials (``_Packing``) whose leading term comes off a heap of int
+    entries (Monagan & Pearce, JSC 46, 2011).  By Gauss's lemma the
+    quotient by a primitive g is integral when it exists, so a leading
+    coefficient that g's does not divide, like a leading monomial that
+    g's does not divide, proves that g does not divide f.
     """
     if not g:
         raise UsageError("division by the zero polynomial")
@@ -585,25 +730,34 @@ def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly | None:
                 return None
             shifted[qe] = _quotient(c, gc)
         return MultiPoly._trusted(f.vars, shifted)
-    fcont, work = _integer_terms(f.terms)
+    fcont, fint = _integer_terms(f.terms)
     gcont, gint = _integer_terms(g.terms)
-    ge = max(gint, key=_grevlex_key)
-    gc = gint.pop(ge)
-    tail = tuple(gint.items())
-    heap = [(_heap_key(_grevlex_key, e), e) for e in work]
-    heapq.heapify(heap)
-    quot: dict[tuple[int, ...], int] = {}
-    while heap:
-        we = heapq.heappop(heap)[1]
-        wc = work.pop(we, 0)
-        if not wc:
-            continue
-        qe = tuple(map(sub, we, ge))
-        qc, r = divmod(wc, gc)
-        if r or min(qe) < 0:
-            return None
-        quot[qe] = qc
-        _subtract_shifted(work, heap, _grevlex_key, tail, qe, qc)
+
+    def run(pk: _Packing):
+        work, divisor = pk.pack(fint), pk.pack(gint)
+        lead = min(divisor)
+        lc = divisor.pop(lead)
+        tail = tuple(divisor.items())
+        guards = pk.guards
+        heap = list(work)
+        heapq.heapify(heap)
+        terms = []
+        while heap:
+            we = heapq.heappop(heap)
+            wc = work.pop(we, 0)
+            if not wc:
+                continue
+            shift = we - lead
+            qc, r = divmod(wc, lc)
+            if r or shift & guards:
+                return None
+            terms.append((shift, qc))
+            _subtract_packed(work, heap, tail, shift, qc, guards)
+        return pk.unpack(terms)
+
+    quot = _with_packing(GREVLEX, len(f.vars.names), _top(fint, gint), run)
+    if quot is None:
+        return None
     ratio = fcont / gcont
     return MultiPoly._trusted(f.vars, {e: _quotient(ratio.numerator * c, ratio.denominator)
                                        for e, c in quot.items()})

@@ -1,8 +1,32 @@
 import pytest
 
+from webweave import cohomcalc, idealcalc, polycore
 from webweave.contactgeom import BiHomogPde, Chart, ChartForm, rehomogenize
 from webweave.polycore import MultiPoly, VarTable
 from webweave.webanalysis import CiWeb
+
+
+@pytest.fixture
+def narrow_packings(monkeypatch):
+    """Start every packing at 1-bit fields, so that runs overflow and
+    restart on wider ones.  Returns [packed calls, attempts]: the calls
+    made a restart when attempts exceed calls."""
+    counts = [0, 0]
+    with_packing = polycore._with_packing
+
+    def counting(order, nvars, top, run):
+        counts[0] += 1
+
+        def attempt(pk):
+            counts[1] += 1
+            return run(pk)
+
+        return with_packing(order, nvars, top, attempt)
+
+    monkeypatch.setattr(polycore, "_MIN_WIDTH", 1)
+    for module in (polycore, idealcalc, cohomcalc):
+        monkeypatch.setattr(module, "_with_packing", counting)
+    return counts
 
 
 @pytest.fixture(scope="session")

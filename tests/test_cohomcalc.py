@@ -68,6 +68,19 @@ def test_nf_idempotent_and_multiplicative(n):
         assert nf(a * b) == nf(nf(a) * nf(b))
 
 
+def test_widening_keeps_normal_forms(request):
+    # reducing xi'^j by the relation raises the xi-exponent by up to n,
+    # past the fields that hold the class itself
+    rng = random.Random(17)
+    classes = [CohomClass(n, INCIDENCE, {(rng.randint(0, 3), rng.randint(0, 2 * n)):
+                                         rng.randint(-3, 3) for _ in range(3)})
+               for n in (2, 3, 4, 5) for _ in range(15)]
+    want = [nf(c) for c in classes]
+    counts = request.getfixturevalue("narrow_packings")
+    assert [nf(c) for c in classes] == want
+    assert counts[1] > counts[0]
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_basis_counts_match_poincare_product(n):
     # count normal-form monomials per degree against the coefficient of

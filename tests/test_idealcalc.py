@@ -232,10 +232,13 @@ def _assert_same_basis(ours, theirs):
             f"basis element {g} missing from reference {[str(t) for t in theirs]}"
 
 
-@pytest.mark.parametrize("names, count, order", [
+RANDOM_IDEALS = [
     (("a", "b", "c"), (2, 3), "grevlex"),
     (("a", "b", "c", "d"), (3, 4), "lex"),
-], ids=["3vars-grevlex", "4vars-lex"])
+]
+
+
+@pytest.mark.parametrize("names, count, order", RANDOM_IDEALS, ids=["3vars-grevlex", "4vars-lex"])
 def test_reduced_basis_matches_sympy_on_random_ideals(names, count, order):
     sympy = pytest.importorskip("sympy")
     table = VarTable.plain(names)
@@ -267,14 +270,18 @@ def _block_orders(table, eliminated):
             ProductOrder((grevlex, lambda m: m[:k]), (grevlex, lambda m: m[k:])))
 
 
-@pytest.mark.parametrize("names, count, order", [
+RATIONAL_IDEALS = [
     (("a", "b", "c"), (2, 3), "grevlex"),
     (("a", "b", "c"), (2, 3), "lex"),
     (("a", "b", "c"), (2, 3), "block"),
     (("a", "b", "c", "d"), (3, 4), "grevlex"),
     (("a", "b", "c", "d"), (3, 4), "lex"),
     (("a", "b", "c", "d"), (3, 4), "block"),
-], ids=["3vars-grevlex", "3vars-lex", "3vars-block", "4vars-grevlex", "4vars-lex", "4vars-block"])
+]
+
+
+@pytest.mark.parametrize("names, count, order", RATIONAL_IDEALS, ids=[
+    "3vars-grevlex", "3vars-lex", "3vars-block", "4vars-grevlex", "4vars-lex", "4vars-block"])
 def test_reduced_basis_matches_sympy_on_rational_ideals(names, count, order):
     # denominators and block orders are where the fraction-free engine's
     # scaling and its flat block key could go wrong
@@ -294,6 +301,9 @@ def test_reduced_basis_matches_sympy_on_rational_ideals(names, count, order):
         _assert_same_basis(ours, _sympy_basis(sympy, gens, theirs_order))
         nontrivial += len(ours) > 1
     assert nontrivial >= 4
+
+
+ORDER_NAMES = ["grevlex", "lex", "block"]
 
 
 def _reference_remainder(f, divisors, order):
@@ -316,7 +326,7 @@ def _reference_remainder(f, divisors, order):
     return remainder
 
 
-@pytest.mark.parametrize("order_name", ["grevlex", "lex", "block"])
+@pytest.mark.parametrize("order_name", ORDER_NAMES)
 def test_normal_form_is_the_exact_remainder(order_name):
     # the remainder depends on the divisors' order and scaling only through
     # the selection rule, so the fraction-free heap division must give
@@ -360,7 +370,8 @@ def test_pair_criteria_skip_most_pairs(monkeypatch):
 
     With only the product criterion (before the Gebauer-Moller chain and
     update criteria) this loop formed 2,130 S-polynomials; with them it
-    forms 380.  The engine builds each one with ``_s_pair``.
+    forms 380.  The engine builds each one with ``_s_pair``, and a
+    change of monomial representation must not change the count.
     """
     calls = 0
     spair = idealcalc._s_pair
@@ -377,7 +388,58 @@ def test_pair_criteria_skip_most_pairs(monkeypatch):
         data = chart_web_data(w, chart)
         if not data.degenerate:
             assert data.critical_basis is not None
-    assert 0 < calls <= 600
+    assert calls == 380
+
+
+# The smallest pair_cap under which each non-degenerate chart's critical
+# basis completes, in ``standard_atlas`` order, as the tuple-keyed engine
+# found them; they pin every pair the engine reduces.
+SMALLEST_PAIR_CAPS = {
+    "clairaut_conic.json": [4, 4, 4, 4, 4, 4],
+    "cusp.json": [1, 1, 8, 4, 4, 6],
+    "fermat_cubic_dual.json": [9, 9, 9, 9, 9, 9],
+    "mixed_n3.json": [3, 2, 5, 69, 12, 8, 48, 46, 37, 79, 31, 40],
+}
+
+
+@pytest.mark.parametrize("sample", sorted(SMALLEST_PAIR_CAPS))
+def test_smallest_pair_cap_per_chart(sample):
+    w = parse_input(str(SAMPLES / sample))[0].web()
+    caps = iter(SMALLEST_PAIR_CAPS[sample])
+    charts = 0
+    for chart in standard_atlas(w.n):
+        data = chart_web_data(w, chart)
+        if data.degenerate:
+            continue
+        gens = list(data.forms) + [data.critical_det]
+        cap = next(caps)
+        assert buchberger(gens, GREVLEX, pair_cap=cap) == data.critical_basis
+        with pytest.raises(PairCapExceeded):
+            buchberger(gens, GREVLEX, pair_cap=cap - 1)
+        charts += 1
+    assert charts == len(SMALLEST_PAIR_CAPS[sample])
+
+
+def test_widening_keeps_smallest_pair_caps(narrow_packings):
+    """The cap counts the reductions of the run that completes, so runs
+    restarted on wider fields need the same caps."""
+    for sample in SMALLEST_PAIR_CAPS:
+        test_smallest_pair_cap_per_chart(sample)
+    calls, attempts = narrow_packings
+    assert attempts > calls
+
+
+def test_widening_keeps_bases_and_remainders(narrow_packings):
+    """Runs restarted on wider fields give the bases sympy gives and the
+    exact remainders."""
+    for case in RANDOM_IDEALS:
+        test_reduced_basis_matches_sympy_on_random_ideals(*case)
+    for case in RATIONAL_IDEALS:
+        test_reduced_basis_matches_sympy_on_rational_ideals(*case)
+    for order_name in ORDER_NAMES:
+        test_normal_form_is_the_exact_remainder(order_name)
+    calls, attempts = narrow_packings
+    assert attempts > calls
 
 
 def _count_pseudo_remainders(monkeypatch) -> list[int]:

@@ -11,10 +11,15 @@ from hypothesis import strategies as st
 
 from oracles import from_sympy, matrix_product, resultant, to_sympy
 from test_cli import REPORT_DIGESTS, SAMPLES, _without_input
+from webweave import polycore
 from webweave.cli import COMMANDS, main, parse_input
+from webweave.cohomcalc import _XI_PRIME_FIRST
 from webweave.contactgeom import covariance_check, standard_atlas, transition
 from webweave.idealcalc import buchberger, normal_form
 from webweave.polycore import (
+    GREVLEX,
+    LEX,
+    MonomialOrder,
     MultiPoly,
     PolyMatrix,
     UsageError,
@@ -446,7 +451,10 @@ def _multi_term_poly(rng, table, **kw):
     return f
 
 
-@pytest.mark.parametrize("table", [T, VarTable.chart(3, 0, 1)], ids=["3vars", "5vars"])
+DIVIDE_TABLES = [T, VarTable.chart(3, 0, 1)]
+
+
+@pytest.mark.parametrize("table", DIVIDE_TABLES, ids=["3vars", "5vars"])
 def test_exact_divide_by_multi_term_matches_sympy(table):
     # h * g is divisible by construction; adding one rational term to it
     # (almost always) is not, and then the heap division must return None
@@ -472,6 +480,72 @@ def test_exact_divide_by_multi_term_matches_sympy(table):
             assert got is None, (f, g)
         outcomes.add(got is None)
     assert outcomes == {True, False}
+
+
+# -- packed monomials ---------------------------------------------------
+
+
+PACKED_ORDERS = [
+    (GREVLEX, 5),
+    (LEX, 5),
+    (MonomialOrder("block", (0, 3), (1, 2, 4)), 5),
+    (_XI_PRIME_FIRST, 2),
+]
+
+
+def _rand_exps(rng, nvars, top):
+    """Exponent vectors with many fields at 0, 1 and the top of the width."""
+    return tuple(rng.choice((0, 1, top - 1, top, rng.randint(0, top))) for _ in range(nvars))
+
+
+@pytest.mark.parametrize("width", [3, 7, 15])
+@pytest.mark.parametrize("order, nvars", PACKED_ORDERS,
+                         ids=["grevlex", "lex", "block", "xi-prime-first"])
+def test_packed_entries_order_as_the_key(order, nvars, width):
+    # a larger entry is a smaller monomial, so heapq pops the largest first
+    pk = polycore._packing(order, nvars, width)
+    rng = random.Random(width * 10 + nvars)
+    vecs = list(dict.fromkeys(_rand_exps(rng, nvars, (1 << width) - 1) for _ in range(400)))
+    entries = {pk.entry(e): e for e in vecs}
+    assert len(entries) == len(vecs)
+    assert all(pk.exps(t) == e for t, e in entries.items())
+    assert [entries[t] for t in sorted(entries, reverse=True)] == sorted(vecs, key=order.key)
+
+
+@pytest.mark.parametrize("width", [3, 7, 15])
+def test_packed_divisibility_lcm_and_overflow_match_tuples(width):
+    pk = polycore._packing(GREVLEX, 4, width)
+    top = (1 << width) - 1
+    rng = random.Random(width)
+    divisible = 0
+    for k in range(600):
+        a = _rand_exps(rng, 4, top)
+        b = (_rand_exps(rng, 4, top) if k % 2
+             else tuple(min(top, x + rng.randint(0, 2)) for x in a))
+        ea, eb = pk.entry(a), pk.entry(b)
+        ma, mb = ea & pk.mask, eb & pk.mask
+        divides = all(x <= y for x, y in zip(a, b))
+        divisible += divides
+        assert (not (eb - ea) & pk.guards) == divides
+        assert (not (mb - ma) & pk.guards) == divides
+        assert pk.exps(pk.lcm(ma, mb)) == tuple(map(max, a, b))
+        assert (pk.lcm(ma, mb) == ma + mb) == (not any(map(min, a, b)))
+        product = tuple(x + y for x, y in zip(a, b))
+        overflow = max(product) > top
+        assert bool((ea + eb) & pk.guards) == overflow
+        if not overflow:
+            assert ea + eb == pk.entry(product)
+    assert divisible >= 250
+
+
+def test_widening_keeps_exact_quotients(narrow_packings):
+    # x1 x2 fits 1-bit fields, but dividing by x1 + x2 makes x2^2
+    assert exact_divide(X1 * X2, X1 + X2) is None
+    calls, attempts = narrow_packings
+    assert attempts > calls
+    for table in DIVIDE_TABLES:
+        test_exact_divide_by_multi_term_matches_sympy(table)
+    test_int_operands_divide_exactly()
 
 
 @pytest.mark.parametrize("table, max_exp", [(T, 2), (VarTable.chart(3, 0, 1), 1)],
