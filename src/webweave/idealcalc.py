@@ -3,8 +3,9 @@
 Ideal membership is the computational meaning of "vanishes on the
 critical scheme": membership is tested in the ideal itself, not its
 radical, so nilpotent structure is respected.  All computations are
-deterministic: fixed pair selection (minimal lcm total degree, ties by
-index) and a fixed reduction order.
+deterministic: S-pairs are chosen by least sugar, then least lcm total
+degree, then index (Giovini, Mora, Niesi, Robbiano, Traverso, "One sugar
+cube, please", ISSAC 1991), and reductions follow a fixed order.
 
 Completion discards S-pairs with the Gebauer–Möller criteria (product,
 chain B, and M/F on each new element's pairs) before reducing them, and
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import and_, sub
 
@@ -75,6 +76,8 @@ def block_order(table: VarTable, eliminated: "str | tuple[str, ...] | list[str]"
 class IdealBasis:
     generators: tuple[MultiPoly, ...]
     order: MonomialOrder
+    # normal_form's divisors, packed once per packing; not part of the value
+    _divisors: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __iter__(self):
         return iter(self.generators)
@@ -158,45 +161,56 @@ def normal_form(f: MultiPoly, basis, order: MonomialOrder | None = None) -> Mult
     exact and fixed by the generators' order; it is computed
     fraction-free on packed monomials and divided back at the end.
     """
-    gens = list(basis.generators) if isinstance(basis, IdealBasis) else list(basis)
+    # an IdealBasis keeps its packed divisors; a plain list is packed per call
+    packed = basis._divisors if isinstance(basis, IdealBasis) else None
     if order is None:
-        order = basis.order if isinstance(basis, IdealBasis) else GREVLEX
-    gens = [g for g in gens if g]
+        order = GREVLEX if packed is None else basis.order
+    gens = [g for g in basis if g]
     for g in gens:
         if g.vars != f.vars:
             raise UsageError("polynomial and basis live over different tables")
     if not f or not gens:
         return f
-    divisors = [_integer_terms(g.terms)[1] for g in gens]
     content, work = _integer_terms(f.terms)
 
     def run(pk: _Packing):
-        remainder, scale = _reduce(pk.pack(work), [pk.element(g) for g in divisors], pk.guards)
+        divisors = None if packed is None else packed.get(pk)
+        if divisors is None:
+            divisors = [pk.element(_integer_terms(g.terms)[1]) for g in gens]
+            if packed is not None:
+                packed[pk] = divisors
+        remainder, scale = _reduce(pk.pack(work), divisors, pk.guards)
         return pk.unpack(remainder), scale
 
-    remainder, scale = _with_packing(order, len(f.vars.names), _top(work, *divisors), run)
+    top = _top(work, *(g.terms for g in gens))
+    remainder, scale = _with_packing(order, len(f.vars.names), top, run)
     num, den = content.numerator, content.denominator * scale
     return MultiPoly._trusted(f.vars, {e: _quotient(num * c, den) for e, c in remainder.items()})
 
 
-def _update(pk: _Packing, leads, live, pairs, k):
+def _update(pk: _Packing, leads, degrees, sugars, live, pairs, k):
     """Gebauer–Möller update of the live list and pair heap for new element k.
 
-    ``leads`` are packed leading monomials.  Old pairs go by criterion B
-    (the new leading monomial divides their lcm and gives a different lcm
-    with either end).  Of the new pairs with the live elements, a pair
-    goes by criteria M and F when another new pair's lcm divides its lcm
-    (of equal lcms the last survives), and then by the product criterion
-    when the two leading monomials are coprime, that is when their lcm is
-    their product.  Returns the new live list and pair heap.
+    ``leads`` are packed leading monomials, ``degrees`` their total
+    degrees and ``sugars`` the elements' sugars.  Old pairs go by
+    criterion B (the new leading monomial divides their lcm and gives a
+    different lcm with either end).  Of the new pairs with the live
+    elements, a pair goes by criteria M and F when another new pair's lcm
+    divides its lcm (of equal lcms the last survives), and then by the
+    product criterion when the two leading monomials are coprime, that is
+    when their lcm is their product.  A kept pair is keyed
+    ``(sugar, lcm degree, i, k, lcm)``, its sugar the larger of
+    ``sugar_i + deg lcm - deg lm_i`` over its two ends.  Returns the new
+    live list and pair heap.
     """
     h = leads[k]
     guards, lcm = pk.guards, pk.lcm
     kept = [p for p in pairs
-            if (p[3] - h) & guards or lcm(leads[p[1]], h) == p[3]
-            or lcm(leads[p[2]], h) == p[3]]
+            if (p[4] - h) & guards or lcm(leads[p[2]], h) == p[4]
+            or lcm(leads[p[3]], h) == p[4]]
     new = [lcm(leads[i], h) for i in live]
     chosen: list[int] = []
+    excess = sugars[k] - degrees[k]
     for t, (i, m) in enumerate(zip(live, new)):
         coprime = m == leads[i] + h
         # no later new lcm and no chosen one divides m
@@ -204,7 +218,8 @@ def _update(pk: _Packing, leads, live, pairs, k):
                               repeat(guards))):
             chosen.append(m)
             if not coprime:
-                kept.append((sum(pk.exps(m)), i, k, m))
+                d = sum(pk.exps(m))
+                kept.append((d + max(sugars[i] - degrees[i], excess), d, i, k, m))
     heapq.heapify(kept)
     return [i for i in live if (leads[i] - h) & guards] + [k], kept
 
@@ -223,8 +238,14 @@ def buchberger(gens, order: MonomialOrder = GREVLEX,
     so the live list ends as a minimal basis, and its inter-reduction is
     the reduced basis.
 
-    Deterministic: pairs are processed by minimal lcm total degree with
-    ties broken by generator index.  The inputs are packed once on entry
+    Deterministic: pairs are processed by least sugar, the degree the
+    S-polynomial would have if no cancellation had lowered the degrees of
+    its ancestors (Giovini et al., "One sugar cube, please", ISSAC 1991),
+    with ties broken by lcm total degree and then by generator index.  An
+    input's sugar is its top total degree; a new element's is the larger
+    of its pair's sugar and its remainder's top total degree.  On some
+    smoothness ideals, least lcm degree first swelled the coefficients to
+    tens of thousands of bits.  The inputs are packed once on entry
     (``polycore._Packing``, fields sized from their largest exponent) and
     the result unpacked once on exit; elements are packed integer-primitive
     term dicts with a positive leading coefficient, S-polynomials are formed
@@ -259,16 +280,21 @@ def _complete(pk: _Packing, table: VarTable, inputs: list, pair_cap: int) -> tup
     # variant, which then ran past 60 s instead of 0.4 s.
     basis: list[tuple] = []
     leads: list[int] = []
+    degrees: list[int] = []
+    sugars: list[int] = []
     live: list[int] = []
-    pairs: list[tuple[int, int, int, int]] = []
+    pairs: list[tuple[int, int, int, int, int]] = []
     reductions = 0
-    pending = inputs[::-1]
+    # an input's sugar is its top total degree, which under a block order
+    # need not be the degree of its leading term
+    pending = [(max(map(sum, f)), f) for f in reversed(inputs)]
 
     while pending or pairs:
         if pending:
-            work = pk.pack(pending.pop())
+            sugar, f = pending.pop()
+            work = pk.pack(f)
         else:
-            _, a, b, lcm = heapq.heappop(pairs)
+            sugar, _, a, b, lcm = heapq.heappop(pairs)
             reductions += 1
             if reductions > pair_cap:
                 raise PairCapExceeded(
@@ -289,7 +315,10 @@ def _complete(pk: _Packing, table: VarTable, inputs: list, pair_cap: int) -> tup
             return (MultiPoly.const(table, 1),)
         basis.append(_primitive_element(remainder))
         leads.append(remainder[0][0] & pk.mask)
-        live, pairs = _update(pk, leads, live, pairs, len(basis) - 1)
+        degrees.append(sum(pk.exps(leads[-1])))
+        top = degrees[-1] if pk.graded else max(sum(pk.exps(e)) for e, _ in remainder)
+        sugars.append(max(sugar, top))
+        live, pairs = _update(pk, leads, degrees, sugars, live, pairs, len(basis) - 1)
 
     # inter-reduce tails of the minimal basis; sorted by increasing order
     # key, which is decreasing entry

@@ -16,11 +16,12 @@ from oracles import (
     to_sympy,
 )
 from webweave import idealcalc, polycore
-from webweave.cli import parse_input
+from webweave.cli import parse_document, parse_input
 from webweave.contactgeom import standard_atlas
 from webweave.idealcalc import (
     GREVLEX,
     LEX,
+    IdealBasis,
     PairCapExceeded,
     block_order,
     buchberger,
@@ -30,8 +31,10 @@ from webweave.idealcalc import (
 )
 from webweave.polycore import (
     MultiPoly,
+    PolyMatrix,
     VarTable,
     partial_derivative,
+    poly_det,
     scalar_equal,
 )
 from webweave.webanalysis import chart_web_data
@@ -63,6 +66,25 @@ def test_normal_form_idempotent():
                           rng.randint(-3, 3) for _ in range(3)})
         r = normal_form(f, basis)
         assert normal_form(r, basis) == r
+
+
+def test_basis_packs_its_divisors_once(monkeypatch):
+    # an IdealBasis keeps its packed divisors, one list per packing, outside
+    # its value; a plain list of divisors is packed on every call
+    packed = []
+    element = polycore._Packing.element
+
+    def counting(pk, terms):
+        packed.append(pk)
+        return element(pk, terms)
+
+    monkeypatch.setattr(polycore._Packing, "element", counting)
+    basis = buchberger([P1**2 - X1, X1 * X2 - 1])
+    fresh = IdealBasis(basis.generators, basis.order)
+    for f in (P1**3, X1 * X2 * P1 + X2, X2**2 - P1):
+        assert normal_form(f, basis) == normal_form(f, list(basis))
+    assert len(packed) == 4 * len(basis) and len(basis._divisors) == 1
+    assert basis == fresh and repr(basis) == repr(fresh)
 
 
 def test_buchberger_already_reduced():
@@ -370,8 +392,9 @@ def test_pair_criteria_skip_most_pairs(monkeypatch):
 
     With only the product criterion (before the Gebauer-Moller chain and
     update criteria) this loop formed 2,130 S-polynomials; with them it
-    forms 380.  The engine builds each one with ``_s_pair``, and a
-    change of monomial representation must not change the count.
+    formed 380 under lcm-degree pair selection and forms 369 by sugar.
+    The engine builds each one with ``_s_pair``; the count pins the pair
+    order, and a change of monomial representation must not change it.
     """
     calls = 0
     spair = idealcalc._s_pair
@@ -388,17 +411,17 @@ def test_pair_criteria_skip_most_pairs(monkeypatch):
         data = chart_web_data(w, chart)
         if not data.degenerate:
             assert data.critical_basis is not None
-    assert calls == 380
+    assert calls == 369
 
 
 # The smallest pair_cap under which each non-degenerate chart's critical
-# basis completes, in ``standard_atlas`` order, as the tuple-keyed engine
-# found them; they pin every pair the engine reduces.
+# basis completes, in ``standard_atlas`` order, with pairs chosen by
+# sugar; they pin every pair the engine reduces.
 SMALLEST_PAIR_CAPS = {
     "clairaut_conic.json": [4, 4, 4, 4, 4, 4],
     "cusp.json": [1, 1, 8, 4, 4, 6],
     "fermat_cubic_dual.json": [9, 9, 9, 9, 9, 9],
-    "mixed_n3.json": [3, 2, 5, 69, 12, 8, 48, 46, 37, 79, 31, 40],
+    "mixed_n3.json": [4, 3, 5, 60, 21, 7, 49, 36, 29, 75, 31, 49],
 }
 
 
@@ -427,6 +450,74 @@ def test_widening_keeps_smallest_pair_caps(narrow_packings):
         test_smallest_pair_cap_per_chart(sample)
     calls, attempts = narrow_packings
     assert attempts > calls
+
+
+# Two webs whose smoothness ideals swell when pairs are chosen by least
+# lcm degree.  UNBOUNDED_N2 is X0 X2 u0 u2^2 - 2 X0^2 u1^3 - 2 X1^2 u0^3
+# - 2 X1 X2 u0^3: on its charts (0,1) and (0,2) that order inserted 63
+# and 33 elements, with coefficients of up to 27,107 and 11,106 bits,
+# before the verdict; by sugar 21 and 31, of at most 20 and 223 bits.
+# On W3, an n = 3 web of bi-degree (1, 2), ``smooth`` ran past 100 s.  By
+# sugar every chart completes in well under a second.
+UNBOUNDED_N2 = {"n": 2, "pdes": [[
+    {"c": [1, 1], "X": [1, 0, 1], "u": [1, 0, 2]},
+    {"c": [-2, 1], "X": [2, 0, 0], "u": [0, 3, 0]},
+    {"c": [-2, 1], "X": [0, 2, 0], "u": [3, 0, 0]},
+    {"c": [-2, 1], "X": [0, 1, 1], "u": [3, 0, 0]}]]}
+W3 = {"n": 3, "pdes": [
+    [{"c": [1, 1], "X": [0, 1, 0, 0], "u": [0, 2, 0, 0]},
+     {"c": [1, 1], "X": [0, 0, 1, 0], "u": [0, 0, 2, 0]},
+     {"c": [1, 1], "X": [0, 0, 0, 1], "u": [2, 0, 0, 0]}],
+    [{"c": [1, 1], "X": [0, 1, 0, 0], "u": [0, 0, 0, 2]},
+     {"c": [1, 1], "X": [0, 0, 1, 0], "u": [0, 1, 1, 0]},
+     {"c": [-1, 1], "X": [0, 0, 0, 1], "u": [1, 1, 0, 0]}]]}
+# per chart in ``standard_atlas`` order: the smooth verdict and the
+# smallest pair_cap under which the smoothness ideal completes
+SMOOTHNESS_PAIR_CAPS = {
+    "unbounded_n2": (UNBOUNDED_N2, [(True, 20), (False, 50), (True, 19),
+                                    (False, 37), (True, 19), (False, 48)]),
+    "w3": (W3, [(False, 110), (False, 219), (False, 222), (False, 41),
+                (False, 84), (True, 54), (False, 42), (False, 73),
+                (False, 120), (False, 38), (True, 37), (False, 72)]),
+}
+
+
+def _smoothness_ideals(doc):
+    """(chart data, the chart forms and the maximal minors of the chart
+    Jacobian, each minor the determinant of an explicit submatrix) per
+    chart of the web."""
+    w = parse_document(doc).web()
+    for chart in standard_atlas(w.n):
+        data = chart_web_data(w, chart)
+        J = data.jacobian
+        minors = [poly_det(PolyMatrix.from_rows([[J.at(r, c) for c in cols]
+                                                 for r in range(J.rows)]))
+                  for cols in itertools.combinations(range(J.cols), J.rows)]
+        yield data, list(data.forms) + minors
+
+
+def test_sugar_smoothness_verdicts_match_sympy():
+    """Each chart's verdict on the unbounded web is sympy's grevlex one:
+    unit or not.  W3 has only its pins: sympy's ``groebner`` did not
+    finish W3's first chart in 150 s."""
+    sympy = pytest.importorskip("sympy")
+    verdicts = []
+    for data, gens in _smoothness_ideals(UNBOUNDED_N2):
+        theirs = _sympy_basis(sympy, gens, "grevlex")
+        unit = len(theirs) == 1 and theirs[0].is_constant()
+        assert is_trivial_ideal(gens) == data.smooth == unit, data.chart
+        verdicts.append(unit)
+    assert verdicts == [v for v, _ in SMOOTHNESS_PAIR_CAPS["unbounded_n2"][1]]
+
+
+@pytest.mark.parametrize("web", sorted(SMOOTHNESS_PAIR_CAPS))
+def test_sugar_smoothness_smallest_pair_caps(web):
+    doc, pins = SMOOTHNESS_PAIR_CAPS[web]
+    for (data, gens), (smooth, cap) in zip(_smoothness_ideals(doc), pins, strict=True):
+        assert data.smooth == smooth, data.chart
+        assert is_trivial_ideal(gens, pair_cap=cap) == smooth, data.chart
+        with pytest.raises(PairCapExceeded):
+            is_trivial_ideal(gens, pair_cap=cap - 1)
 
 
 def test_widening_keeps_bases_and_remainders(narrow_packings):
