@@ -77,7 +77,7 @@ class IdealBasis:
     generators: tuple[MultiPoly, ...]
     order: MonomialOrder
     # normal_form's divisors, packed once per packing; not part of the value
-    _divisors: dict = field(default_factory=dict, compare=False, repr=False)
+    _divisors: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __iter__(self):
         return iter(self.generators)
@@ -316,8 +316,7 @@ def _complete(pk: _Packing, table: VarTable, inputs: list, pair_cap: int) -> tup
         basis.append(_primitive_element(remainder))
         leads.append(remainder[0][0] & pk.mask)
         degrees.append(sum(pk.exps(leads[-1])))
-        top = degrees[-1] if pk.graded else max(sum(pk.exps(e)) for e, _ in remainder)
-        sugars.append(max(sugar, top))
+        sugars.append(max(sugar, max(sum(pk.exps(e)) for e, _ in remainder)))
         live, pairs = _update(pk, leads, degrees, sugars, live, pairs, len(basis) - 1)
 
     # inter-reduce tails of the minimal basis; sorted by increasing order

@@ -97,11 +97,9 @@ class _Packing:
     entry of the term plus the entry of the shift, and the low ``span``
     bits are the monomial, so the divisibility test works on entries too.
     Entries are the engine's term-dict keys; ``exps`` reads one back.
-    ``graded`` tells whether the order compares total degree first, so
-    that a polynomial's leading term has its top total degree.
     """
 
-    __slots__ = ("width", "guards", "mask", "graded", "_weights", "_nbytes", "_unpack")
+    __slots__ = ("width", "guards", "mask", "_weights", "_nbytes", "_unpack")
 
     def __init__(self, order: MonomialOrder, nvars: int, width: int):
         stride = next(s for s in _FIELD_FORMATS if s > width)
@@ -114,7 +112,6 @@ class _Packing:
                 weights[k] += keys[k][j] * radix
             radix *= 1 + ((1 << width) - 1) * sum(abs(key[j]) for key in keys)
         self.width = width
-        self.graded = bool(keys) and all(key[0] == 1 for key in keys)
         self.guards = sum(1 << (k * stride + width) for k in range(nvars))
         self.mask = (1 << span) - 1
         self._weights = [(-w << span) + (1 << (k * stride)) for k, w in enumerate(weights)]
