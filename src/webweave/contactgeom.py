@@ -17,16 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .idealcalc import block_order, normal_form
 from .polycore import (
     MultiPoly,
-    PolyMatrix,
     UsageError,
     VarTable,
-    _adjugate,
-    _minor_table,
     is_bihomogeneous,
     scalar_equal,
     substitute,
@@ -306,7 +303,10 @@ class ChartTransition:
     functions of the source ones.  J is the Jacobian of the point-part in
     the source/target slot order, K its adjugate (so J K = det(J) I), and
     ``frame_det`` the induced transition factor for wedges of the contact
-    frame fields; these are the covariance data of chart forms.
+    frame fields; these are the covariance data of chart forms.  The point
+    part only switches the dehomogenizing coordinate, so J, K and the
+    determinants have a closed form in the two charts' slot permutation
+    (``_frame_data``): every entry is one monomial.
 
     Every quotient is stored unreduced over the denominator it is built
     with, and is valid on the chart overlap, where that denominator is a
@@ -330,32 +330,64 @@ class ChartTransition:
         return dict(self.x_map) | dict(self.p_map)
 
 
-def _frame_data(source: Chart, nums: Sequence[MultiPoly], den: MultiPoly):
-    """Jacobian package for the target point-coordinates nums[r] / den.
+def _frame_data(c1: Chart, c2: Chart):
+    """Jacobian package of the point-part of the chart change c1 -> c2.
 
-    ``nums`` lists the numerators in slot order (distinguished one last)
-    over one common denominator, all polynomials in the source chart
-    coordinates.  The Jacobian is M / den^2 with M a polynomial matrix,
-    so det(J) and adj(J) are det(M) and adj(M) over powers of den^2.
-    Each entry is returned unreduced over exactly those denominators:
-    den^2 for J, den^(2(k-1)) for K and the frame factor, and den^(2k)
-    for det(J), k the number of slots; they hold where den is nonzero.
+    Read in c1, where X_i = 1 and X_k = x_k, the target slot coordinates
+    are X_t / y for t in T = ``c2.slot_indices``, with y = X_{i'} (1 when
+    i' = i).  Over the source slots S = ``c1.slot_indices`` the Jacobian is
+    M / y^2 with M[r][c] = y [T_r = S_c] - X_{T_r} [S_c = i'].  For i' != i
+    the row with T_r = i is -e_{i'}, and subtracting its multiples from the
+    other rows leaves y times a permutation, so
+
+        det M = sigma y^(n-1)
+
+    with sigma the sign of pi(r) = the position in S of (i' if T_r = i
+    else T_r), negated when i' != i; and adj M = det M * M^-1 is the
+    inverse chart change's Jacobian, scaled:
+
+        adj[c][r] = sigma y^(n-2) ([S_c = T_r] - x_{S_c} [T_r = i])   (S_c != i')
+        adj[c][r] = -sigma y^(n-1) [T_r = i]                          (S_c = i')
+
+    Every entry is one monomial and is built as one.  Each quotient is
+    returned unreduced over the denominators of the quotient rule: y^2 for
+    J, y^(2(n-1)) for K and the frame factor, and y^(2n) for det(J); they
+    hold where y is nonzero.
     """
-    slots = [f"x{k}" for k in source.slot_indices]
-    M = PolyMatrix.from_rows([[f.derivative(s) * den - f * den.derivative(s) for s in slots]
-                              for f in nums])
-    minor, full = _minor_table(M), tuple(range(M.rows))
-    det, adj = minor(full, full), _adjugate(minor, full, full)
-    del minor  # release the table before the RatFunc wrapping
-    last = M.rows - 1
-    den2 = den * den
-    adj_den = den2 ** last
-    frame = adj.at(last, last)
-    for b, k in enumerate(source.p_indices):
-        frame = frame - source.p(k) * adj.at(b, last)
-    return (tuple(tuple(RatFunc(e, den2) for e in M.row(r)) for r in range(M.rows)),
-            tuple(tuple(RatFunc(e, adj_den) for e in adj.row(r)) for r in range(M.rows)),
-            RatFunc(det, adj_den * den2), RatFunc(frame, adj_den))
+    n, table, S, T, i, i2 = c1.n, c1.table, c1.slot_indices, c2.slot_indices, c1.i, c2.i
+    width = len(table.names)
+    xpos = {k: t for t, k in enumerate(c1.x_indices)}
+    ypos = xpos.get(i2)  # None when i' = i, where y = 1
+
+    def mono(c: int, ydeg: int, k: int | None = None) -> MultiPoly:
+        # c y^ydeg X_k, with X_i = 1 (k = i or None)
+        e = [0] * width
+        if ypos is not None:
+            e[ypos] = ydeg
+        if k in xpos:
+            e[xpos[k]] += 1
+        return MultiPoly._trusted(table, {tuple(e): c})
+
+    zero = MultiPoly._trusted(table, {})
+    pi = [S.index(i2 if t == i else t) for t in T]
+    inversions = sum(a > b for r, a in enumerate(pi) for b in pi[r + 1:])
+    sigma = (-1) ** inversions * (1 if i2 == i else -1)
+    M = [[mono(-1, 0, t) if s == i2 else mono(1, 1) if s == t else zero for s in S]
+         for t in T]
+    adj = [[(mono(-sigma, n - 1) if t == i else zero) if s == i2
+            else mono(-sigma, n - 2, s) if t == i
+            else mono(sigma, n - 2) if t == s else zero
+            for t in T] for s in S]
+    last = n - 1
+    frame = dict(adj[last][last].terms)
+    for b in range(last):  # minus p_{S_b} adj[b][last]; adj holds no p, so no terms collide
+        for e, c in adj[b][last].terms.items():
+            frame[e[:n + b] + (1,) + e[n + b + 1:]] = -c
+    den2, adj_den = mono(1, 2), mono(1, 2 * last)
+    return (tuple(tuple(RatFunc(e, den2) for e in row) for row in M),
+            tuple(tuple(RatFunc(e, adj_den) for e in row) for row in adj),
+            RatFunc(mono(sigma, last), mono(1, 2 * n)),
+            RatFunc(MultiPoly._trusted(table, frame), adj_den))
 
 
 def _coordinate_maps(c1: Chart, c2: Chart, sub: Mapping[str, MultiPoly]):
@@ -369,11 +401,11 @@ def _coordinate_maps(c1: Chart, c2: Chart, sub: Mapping[str, MultiPoly]):
 
 def transition(c1: Chart, c2: Chart) -> ChartTransition:
     """The coordinate maps between two charts and the Jacobian package of
-    their point-part."""
+    their point-part, the latter in closed form (``_frame_data``).  Each
+    call builds its own package."""
     sub = c1.substitution()
     maps = tuple((name, RatFunc(num, den)) for name, num, den in _coordinate_maps(c1, c2, sub))
-    frame = _frame_data(c1, [sub[f"X{k}"] for k in c2.slot_indices], sub[f"X{c2.i}"])
-    return ChartTransition(c1, c2, maps[:c1.n], maps[c1.n:], *frame)
+    return ChartTransition(c1, c2, maps[:c1.n], maps[c1.n:], *_frame_data(c1, c2))
 
 
 def transport_point(t: ChartTransition, point: Mapping[str, Fraction]) -> dict[str, Fraction]:

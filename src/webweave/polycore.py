@@ -840,16 +840,6 @@ def _minor_table(M: PolyMatrix):
     return minor
 
 
-def _adjugate(minor, rows: tuple[int, ...], cols: tuple[int, ...]) -> PolyMatrix:
-    """Adjugate of the square rows x cols submatrix, read off a minor table:
-    entry (c, r) is the cofactor of the submatrix's entry (r, c)."""
-    drop_rows = [rows[:t] + rows[t + 1:] for t in range(len(rows))]
-    drop_cols = [cols[:t] + cols[t + 1:] for t in range(len(cols))]
-    return PolyMatrix.from_rows([[minor(dr, dc) if (r + c) % 2 == 0 else -minor(dr, dc)
-                                  for r, dr in enumerate(drop_rows)]
-                                 for c, dc in enumerate(drop_cols)])
-
-
 def poly_det(M: PolyMatrix) -> MultiPoly:
     """Exact determinant of a square polynomial matrix."""
     if M.rows != M.cols:
@@ -859,11 +849,18 @@ def poly_det(M: PolyMatrix) -> MultiPoly:
 
 
 def poly_adjugate(M: PolyMatrix) -> PolyMatrix:
-    """Adjugate: M * adj(M) = det(M) * I as a polynomial identity."""
+    """Adjugate: M * adj(M) = det(M) * I as a polynomial identity.
+
+    Entry (c, r) is the cofactor of M's entry (r, c), read off one minor
+    table, so the cofactors share their sub-minors.
+    """
     if M.rows != M.cols:
         raise UsageError("adjugate of a non-square matrix")
-    full = tuple(range(M.rows))
-    return _adjugate(_minor_table(M), full, full)
+    minor, full = _minor_table(M), tuple(range(M.rows))
+    drop = [full[:t] + full[t + 1:] for t in full]
+    return PolyMatrix.from_rows([[minor(dr, dc) if (r + c) % 2 == 0 else -minor(dr, dc)
+                                  for r, dr in enumerate(drop)]
+                                 for c, dc in enumerate(drop)])
 
 
 # -- multivariate gcd (primitive PRS) ----------------------------------

@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import comb
 
 from webweave.cohomcalc import INCIDENCE, CohomClass
+from webweave.contactgeom import RatFunc
 from webweave.idealcalc import GREVLEX
 from webweave.polycore import (
     MultiPoly,
@@ -11,6 +12,7 @@ from webweave.polycore import (
     UsageError,
     exact_divide,
     multivar_gcd,
+    poly_adjugate,
     poly_det,
 )
 
@@ -132,6 +134,32 @@ def matrix_product(A: PolyMatrix, B: PolyMatrix) -> PolyMatrix:
     return PolyMatrix.from_rows(
         [[sum((A.at(r, k) * B.at(k, c) for k in range(A.cols)), MultiPoly.zero(A.table))
           for c in range(B.cols)] for r in range(A.rows)])
+
+
+def frame_data_by_minors(source, nums, den):
+    """Reference Jacobian package for the point-coordinates nums[r] / den.
+
+    ``nums`` lists the numerators in the target slot order (distinguished
+    one last) over one common denominator, all polynomials in the source
+    chart coordinates.  The Jacobian is M / den^2 with M = den d(nums) -
+    nums d(den) over the source slots, and det(M) and adj(M) come from the
+    general minor expansion.  Returns (J, K, det J, frame factor), each
+    entry unreduced over den^2, den^(2(k-1)), den^(2k) and den^(2(k-1)),
+    k the number of slots.
+    """
+    slots = [f"x{k}" for k in source.slot_indices]
+    M = PolyMatrix.from_rows([[f.derivative(s) * den - f * den.derivative(s) for s in slots]
+                              for f in nums])
+    det, adj = poly_det(M), poly_adjugate(M)
+    last = M.rows - 1
+    den2 = den * den
+    adj_den = den2 ** last
+    frame = adj.at(last, last)
+    for b, k in enumerate(source.p_indices):
+        frame = frame - source.p(k) * adj.at(b, last)
+    return (tuple(tuple(RatFunc(e, den2) for e in M.row(r)) for r in range(M.rows)),
+            tuple(tuple(RatFunc(e, adj_den) for e in adj.row(r)) for r in range(M.rows)),
+            RatFunc(det, adj_den * den2), RatFunc(frame, adj_den))
 
 
 def resultant(f: MultiPoly, g: MultiPoly, v: str) -> MultiPoly:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import Quotient
+from oracles import Quotient, frame_data_by_minors
 from webweave import cli, cohomcalc, contactgeom, idealcalc, polycore, webanalysis
 from webweave.cli import parse_input
 from webweave.contactgeom import (
@@ -29,7 +29,6 @@ from webweave.contactgeom import (
     transport_form,
     transport_point,
 )
-from webweave.contactgeom import _frame_data
 from webweave.polycore import MultiPoly, UsageError, VarTable, scalar_equal
 
 BI2 = VarTable.bihomog(2)
@@ -243,7 +242,8 @@ def test_swap_transition_reciprocal_slope():
 
 def test_translation_frame_data():
     # x' = x + constant: identity Jacobian, unit frame factor
-    J, K, jac_det, frame_det = _frame_data(C02, [x1 + 5, x2 - 3], MultiPoly.const(T02, 1))
+    J, K, jac_det, frame_det = frame_data_by_minors(C02, [x1 + 5, x2 - 3],
+                                                    MultiPoly.const(T02, 1))
     assert jac_det == 1 and frame_det == 1
     assert J[0][0] == 1 and J[0][1] == 0 and J[1][1] == 1
 
@@ -315,6 +315,61 @@ def test_p_transition_matches_adjugate_formula(n):
                 numer = numer + pk * K[b][a]
             numer = numer - K[nslot][a]
             assert -(numer / denom) == Quotient.of(direct), (c1, c2, name)
+
+
+def test_frame_data_matches_minor_oracle():
+    # the closed-form package against the general minor expansion, entry
+    # by entry as quotients: every ordered pair for n <= 3 (n = 1 included,
+    # where no slot but i' exists and y^(n-2) is never taken), every chart
+    # with itself at n = 4, and a fixed seeded sample of distinct pairs there
+    pairs = [pair for n in (1, 2, 3) for pair in itertools.product(standard_atlas(n), repeat=2)]
+    atlas4 = standard_atlas(4)
+    pairs += [(c, c) for c in atlas4]
+    pairs += random.Random(24).sample(list(itertools.permutations(atlas4, 2)), 64)
+    assert len(pairs) == 4 + 36 + 144 + 20 + 64
+    for c1, c2 in pairs:
+        t = transition(c1, c2)
+        sub = c1.substitution()
+        J, K, jac_det, frame_det = frame_data_by_minors(
+            c1, [sub[f"X{k}"] for k in c2.slot_indices], sub[f"X{c2.i}"])
+        assert len(t.J) == len(t.K) == c1.n, (c1, c2)
+        for mine, ref in ((t.J, J), (t.K, K)):
+            assert all(a == b for row, ref_row in zip(mine, ref, strict=True)
+                       for a, b in zip(row, ref_row, strict=True)), (c1, c2)
+        assert t.jac_det == jac_det and t.frame_det == frame_det, (c1, c2)
+
+
+def _at(m, pt):
+    return [[e.evaluate(pt) for e in row] for row in m]
+
+
+def _mat_mul(a, b):
+    return [[sum(a[r][m] * b[m][c] for m in range(len(b))) for c in range(len(b[0]))]
+            for r in range(len(a))]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_transition_jacobian_chain_rule(n):
+    # on a triple overlap, J(c1->c3) = J(c2->c3) at the image times J(c1->c2),
+    # the adjugates compose the other way round, and det J is multiplicative
+    rng = random.Random(100 + n)
+    atlas = standard_atlas(n)
+    done = 0
+    while done < 40:
+        c1, c2, c3 = rng.choice(atlas), rng.choice(atlas), rng.choice(atlas)
+        t12, t23, t13 = transition(c1, c2), transition(c2, c3), transition(c1, c3)
+        pt = _sample_point(rng, c1)
+        try:
+            img = transport_point(t12, pt)
+            J12, J23, J13 = _at(t12.J, pt), _at(t23.J, img), _at(t13.J, pt)
+            K12, K23, K13 = _at(t12.K, pt), _at(t23.K, img), _at(t13.K, pt)
+            dets = [t.jac_det.evaluate(q) for t, q in ((t12, pt), (t23, img), (t13, pt))]
+        except UsageError:
+            continue  # the sample left a chart overlap; resample
+        assert J13 == _mat_mul(J23, J12), (c1, c2, c3)
+        assert K13 == _mat_mul(K12, K23), (c1, c2, c3)
+        assert dets[2] == dets[1] * dets[0], (c1, c2, c3)
+        done += 1
 
 
 def _term_key(r: RatFunc):

@@ -526,9 +526,9 @@ def test_certify_builds_each_chart_package_once(monkeypatch):
 def test_chart_minors_and_covariance_build_no_intermediates(monkeypatch):
     # each chart package reads every minor off one table, so smooth and
     # all of certify build one per chart,
-    # transition reads det and adjugate off one table per call, and a
-    # covariance sweep substitutes the raw coordinate quotients, so it
-    # constructs no RatFunc
+    # transition writes det and adjugate in closed form from the charts'
+    # slot permutation, so it builds no table, and a covariance sweep
+    # substitutes the raw coordinate quotients, so it constructs no RatFunc
     tables, ratfuncs = [0], [0]
     make_table, rat_init = polycore._minor_table, contactgeom.RatFunc.__init__
 
@@ -540,7 +540,8 @@ def test_chart_minors_and_covariance_build_no_intermediates(monkeypatch):
         ratfuncs[0] += 1
         rat_init(self, *args)
 
-    for module in (polycore, wa, contactgeom):
+    assert not hasattr(contactgeom, "_minor_table")
+    for module in (polycore, wa):
         monkeypatch.setattr(module, "_minor_table", counted_table)
     monkeypatch.setattr(contactgeom.RatFunc, "__init__", counted_rat)
     doc, _ = parse_input(str(SAMPLES / "mixed_n3.json"))
@@ -555,7 +556,7 @@ def test_chart_minors_and_covariance_build_no_intermediates(monkeypatch):
     for a, b in [(atlas[0], atlas[5]), (atlas[7], atlas[2]), (atlas[3], atlas[3])]:
         tables[0] = 0
         contactgeom.transition(a, b)
-        assert tables[0] == 1
+        assert tables[0] == 0
     assert ratfuncs[0] > 0
 
 
