@@ -15,11 +15,11 @@ duality at the level of equations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Mapping
 
-from .idealcalc import block_order, normal_form
+from .idealcalc import IdealBasis, block_order, normal_form
 from .polycore import (
     MultiPoly,
     UsageError,
@@ -39,13 +39,16 @@ def incidence_form(n: int) -> MultiPoly:
     return f
 
 
-def _u0_elim_order(n: int):
-    return block_order(VarTable.bihomog(n), ("u0",))
+@lru_cache(maxsize=None)
+def _incidence_basis(n: int, j: int) -> IdealBasis:
+    """The incidence form under the block order eliminating u_j: one
+    generator is a Groebner basis, and it keeps its packed divisor."""
+    return IdealBasis((incidence_form(n),), block_order(VarTable.bihomog(n), (f"u{j}",)))
 
 
 def reduce_mod_incidence(n: int, f: MultiPoly) -> MultiPoly:
     """Canonical representative modulo the incidence form (u0 eliminated)."""
-    return normal_form(f, [incidence_form(n)], _u0_elim_order(n))
+    return normal_form(f, _incidence_basis(n, 0))
 
 
 @dataclass(frozen=True)
@@ -240,8 +243,7 @@ def rehomogenize(form: ChartForm, bidegree: tuple[int, int] | None = None) -> Bi
         out[i] = dx - sum(exps[:n])
         out[n + 1 + j] = d - sum(exps[n:])
         lift[tuple(out)] = -c if out[n + 1 + j] % 2 else c
-    H = normal_form(MultiPoly(table, lift), [incidence_form(n)],
-                    block_order(table, (f"u{j}",)))
+    H = normal_form(MultiPoly(table, lift), _incidence_basis(n, j))
     m = min(e[i] for e in H.terms)
     shift = m if delta is None else dx - delta
     if shift > m:
@@ -268,7 +270,7 @@ class RatFunc:
             den = MultiPoly.const(num.vars, 1)
         if not den:
             raise UsageError("zero denominator")
-        if num.vars != den.vars:
+        if num.vars is not den.vars and num.vars != den.vars:
             raise UsageError("numerator and denominator tables differ")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)

@@ -349,11 +349,6 @@ def eliminate(gens, drop: "str | tuple[str, ...] | list[str]",
     gens = [g for g in gens if g]
     if not gens:
         return []
-    table = gens[0].vars
-    order = block_order(table, drop)
-    if isinstance(drop, str):
-        dropped = set(table.group_names(drop))
-    else:
-        dropped = set(drop)
+    order = block_order(gens[0].vars, drop)
     basis = buchberger(gens, order, pair_cap)
-    return [g for g in basis if not (g.variables_used() & dropped)]
+    return [g for g in basis if not any(e[k] for e in g.terms for k in order.elim)]

@@ -3,10 +3,12 @@
 Everything downstream (ideal computations, chart geometry, web verdicts)
 runs on this kernel: immutable sparse polynomials with rational
 coefficients over a fixed variable table, plus the derivative /
-substitution / determinant / gcd toolkit.  A coefficient is an int when
-it is integral and a Fraction otherwise, so integer inputs stay on int
-arithmetic.  No floating point anywhere: every division between
-coefficients goes through ``_quotient``, and all results are exact.
+substitution / determinant / gcd toolkit.  A gcd that no cheap exit
+settles is computed from an lcm read off the Groebner engine
+(``idealcalc``).  A coefficient is an int when it is integral and a
+Fraction otherwise, so integer inputs stay on int arithmetic.  No
+floating point anywhere: every division between coefficients goes
+through ``_quotient``, and all results are exact.
 """
 
 from __future__ import annotations
@@ -538,15 +540,6 @@ class MultiPoly:
         exps = max(self.terms, key=key)
         return exps, self.terms[exps]
 
-    def collect(self, name: str) -> dict[int, "MultiPoly"]:
-        """Coefficients of self viewed as a polynomial in ``name``."""
-        k = self.vars.index(name)
-        out: dict[int, dict[tuple[int, ...], Scalar]] = {}
-        for e, c in self.terms.items():
-            rest = tuple(0 if t == k else x for t, x in enumerate(e))
-            out.setdefault(e[k], {})[rest] = c
-        return {d: MultiPoly._trusted(self.vars, t) for d, t in out.items()}
-
     def derivative(self, name: str) -> "MultiPoly":
         k = self.vars.index(name)
         # lowering the k-th exponent keeps distinct monomials distinct
@@ -635,7 +628,7 @@ def substitute(
             den = MultiPoly.const(num.vars, 1)
         if not den:
             raise UsageError(f"zero denominator in substitution for {name!r}")
-        if num.vars != den.vars:
+        if num.vars is not den.vars and num.vars != den.vars:
             raise UsageError("substitution numerator and denominator tables differ")
         pairs[name] = (num, den)
 
@@ -863,7 +856,7 @@ def poly_adjugate(M: PolyMatrix) -> PolyMatrix:
                                  for c, dc in enumerate(drop)])
 
 
-# -- multivariate gcd (primitive PRS) ----------------------------------
+# -- multivariate gcd --------------------------------------------------
 
 
 # Evaluation points of the coprimality certificate: variable k takes the
@@ -945,27 +938,6 @@ def _coprime_by_evaluation(f: MultiPoly, g: MultiPoly) -> bool:
     return True
 
 
-def _pseudo_rem(a: MultiPoly, b: MultiPoly, v: str) -> MultiPoly:
-    """Pseudo-remainder of a by b with respect to v (deg_v b >= 1)."""
-    db = b.degree_in(v)
-    lead_b = b.collect(v)[db]
-    vv = MultiPoly.var(a.vars, v)
-    r = a
-    while r and r.degree_in(v) >= db:
-        dr = r.degree_in(v)
-        lead_r = r.collect(v)[dr]
-        r = lead_b * r - lead_r * vv ** (dr - db) * b
-    return r
-
-
-def _content_and_primitive(f: MultiPoly, v: str) -> tuple[MultiPoly, MultiPoly]:
-    coeffs = list(f.collect(v).values())
-    cont = multivar_gcd(coeffs)
-    prim = exact_divide(f, cont)
-    assert prim is not None, "content divides by construction"
-    return cont, prim
-
-
 def _gcd_pair(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     if not f:
         return g
@@ -979,47 +951,39 @@ def _gcd_pair(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         return MultiPoly._trusted(f.vars, {tuple(map(min, *f.terms, *g.terms)): 1})
     if _coprime_by_evaluation(f, g):
         return MultiPoly.const(f.vars, 1)
-    used = sorted(f.vars.index(n) for n in f.variables_used() | g.variables_used())
-    v = f.vars.names[used[-1]]
-    if f.degree_in(v) == 0:
-        cont_g, _ = _content_and_primitive(g, v)
-        return _gcd_pair(f, cont_g)
-    if g.degree_in(v) == 0:
-        cont_f, _ = _content_and_primitive(f, v)
-        return _gcd_pair(cont_f, g)
-    cont_f, prim_f = _content_and_primitive(f, v)
-    cont_g, prim_g = _content_and_primitive(g, v)
-    cont = _gcd_pair(cont_f, cont_g)
-    a, b = prim_f, prim_g
-    if a.degree_in(v) < b.degree_in(v):
-        a, b = b, a
-    while True:
-        r = _pseudo_rem(a, b, v)
-        if not r:
-            break
-        _, r = _content_and_primitive(r, v)
-        _, r = integer_primitive(r)
-        a, b = b, r
-        if b.degree_in(v) == 0:
-            break
-    if b.degree_in(v) == 0:
-        return cont
-    _, prim_b = _content_and_primitive(b, v)
-    return cont * prim_b
+    # lcm(f, g) generates (f) ∩ (g) = (t f, (1 - t) g) ∩ Q[x] (Cox, Little,
+    # O'Shea, "Ideals, Varieties, and Algorithms", ch. 4 §3), and
+    # gcd(f, g) = f g / lcm(f, g); idealcalc imports this module, so its
+    # engine is imported here
+    from .idealcalc import eliminate
+
+    names = f.vars.names
+    t = "t" * (1 + max(map(len, names)))  # longer than every name: fresh
+    table = VarTable(names + (t,), f.vars.groups + ((t, (len(names),)),))
+    tf = {e + (1,): c for e, c in f.terms.items()}
+    g_minus_tg = {e + (0,): c for e, c in g.terms.items()}
+    g_minus_tg.update({e + (1,): -c for e, c in g.terms.items()})
+    (lcm,) = eliminate([MultiPoly._trusted(table, tf), MultiPoly._trusted(table, g_minus_tg)],
+                       (t,))
+    lcm = MultiPoly._trusted(f.vars, {e[:-1]: c for e, c in lcm.terms.items()})
+    return exact_divide(f * g, lcm)
 
 
 def multivar_gcd(fs: Iterable[MultiPoly]) -> MultiPoly:
     """A gcd of the inputs, integer-primitive with positive leading coefficient.
 
-    Pairs are reduced by the recursive primitive PRS, except that a pair
-    with a constant operand has gcd 1, a pair with a monomial operand
-    has the monomial whose exponents are the componentwise minimum over
-    both supports (exact, since every divisor of a monomial is one), and
-    a pair with an exact coprimality certificate has gcd 1.  The
-    certificate evaluates both operands at integer points that keep the
-    first one's degree in each shared variable and finds the univariate
-    gcds constant; it only ever proves coprimality, and a pair it cannot
-    certify goes through the PRS, so the result is the same either way.
+    The inputs are folded pairwise.  A pair with a constant operand has
+    gcd 1, a pair with a monomial operand has the monomial whose exponents
+    are the componentwise minimum over both supports (exact, since every
+    divisor of a monomial is one), and a pair with an exact coprimality
+    certificate has gcd 1.  The certificate evaluates both operands at
+    integer points that keep the first one's degree in each shared
+    variable and finds the univariate gcds constant; it only ever proves
+    coprimality.  Any other pair is one elimination in the Groebner
+    engine: lcm(f, g) is the generator of (t f, (1 - t) g) with a fresh t
+    eliminated, and the gcd is the exact quotient f g / lcm(f, g).  The
+    elimination runs under ``idealcalc.DEFAULT_PAIR_CAP`` and raises
+    ``PairCapExceeded`` past it.
     """
     fs = [f for f in fs if f]
     if not fs:

@@ -162,6 +162,16 @@ def frame_data_by_minors(source, nums, den):
             RatFunc(det, adj_den * den2), RatFunc(frame, adj_den))
 
 
+def collect(f: MultiPoly, name: str) -> dict[int, MultiPoly]:
+    """Coefficients of f viewed as a polynomial in ``name``."""
+    k = f.vars.index(name)
+    out: dict[int, dict] = {}
+    for e, c in f.terms.items():
+        rest = tuple(0 if t == k else x for t, x in enumerate(e))
+        out.setdefault(e[k], {})[rest] = c
+    return {d: MultiPoly(f.vars, t) for d, t in out.items()}
+
+
 def resultant(f: MultiPoly, g: MultiPoly, v: str) -> MultiPoly:
     """Sylvester resultant with respect to v.
 
@@ -179,7 +189,7 @@ def resultant(f: MultiPoly, g: MultiPoly, v: str) -> MultiPoly:
         return f ** k
     if k == 0:
         return g ** m
-    fc, gc = f.collect(v), g.collect(v)
+    fc, gc = collect(f, v), collect(g, v)
     zero = MultiPoly.zero(f.vars)
     rows = []
     frow = [fc.get(m - t, zero) for t in range(m + 1)]

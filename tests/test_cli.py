@@ -25,6 +25,7 @@ from webweave.cli import (
     parse_document,
     run,
 )
+from webweave.polycore import MultiPoly, VarTable
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
 REPORT_DIGESTS = Path(__file__).resolve().parent / "report_digests.json"
@@ -228,6 +229,27 @@ def test_verdict_false_still_exits_zero(tmp_path, capsys):
     code, out, _ = run_cli(["dicritical", path], capsys)
     assert code == EXIT_OK
     assert json.loads(out)["aggregated"] is False
+
+
+def test_dicritical_warns_on_a_squared_factor(tmp_path, capsys):
+    # the Fermat cubic dual times L^2, L = X0 u0 + X2 u1 + X1 u2: on each
+    # chart L's square shares a factor with every partial and with every
+    # p-coefficient, so each chart reports both warnings
+    table = VarTable.bihomog(2)
+    X0, X1, X2, u0, u1, u2 = (MultiPoly.var(table, v) for v in table.names)
+    H = (u0**3 + u1**3 + u2**3) * (X0 * u0 + X2 * u1 + X1 * u2) ** 2
+    doc = {"n": 2, "pdes": [[{"c": [c, 1], "X": list(e[:3]), "u": list(e[3:])}
+                             for e, c in H.terms.items()]]}
+    code, out, _ = run_cli(["dicritical", write(tmp_path, doc)], capsys)
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["aggregated"] is False
+    charts = [tuple(v["chart"]) for v in report["per_chart"]]
+    assert len(charts) == 6
+    assert report["warnings"] == [
+        f"chart ({i},{j}): equation 1 {what}" for i, j in charts for what in (
+            "may be non-reduced (shares a factor with a partial derivative)",
+            "has p-coefficients with a common non-constant factor")]
 
 
 def test_certify_command(tmp_path, capsys):

@@ -533,27 +533,28 @@ def test_widening_keeps_bases_and_remainders(narrow_packings):
     assert attempts > calls
 
 
-def _count_pseudo_remainders(monkeypatch) -> list[int]:
-    """A one-element list that counts the primitive PRS's pseudo-remainders."""
+def _count_gcd_eliminations(monkeypatch) -> list[int]:
+    """A one-element list that counts the eliminations ``multivar_gcd``
+    runs; it imports ``idealcalc.eliminate`` at call time, so the patch
+    reaches it."""
     calls = [0]
-    pseudo_rem = polycore._pseudo_rem
 
-    def counting(*args):
+    def counting(*args, **kw):
         calls[0] += 1
-        return pseudo_rem(*args)
+        return eliminate(*args, **kw)
 
-    monkeypatch.setattr(polycore, "_pseudo_rem", counting)
+    monkeypatch.setattr(idealcalc, "eliminate", counting)
     return calls
 
 
-def test_input_warnings_skip_pseudo_remainders(monkeypatch):
+def test_input_warnings_skip_gcd_eliminations(monkeypatch):
     """The warning gcds of the sample webs are all certified coprime.
 
     Each warning asks whether a gcd is constant; on the samples it always
-    is, and the evaluation certificate proves it without the primitive
-    PRS, which made 277 pseudo-remainders here (30, 23, 88 and 136).
+    is, and the evaluation certificate proves it without an elimination
+    in the Groebner engine.
     """
-    calls = _count_pseudo_remainders(monkeypatch)
+    calls = _count_gcd_eliminations(monkeypatch)
     for path in sorted(SAMPLES.glob("*.json")):
         w = parse_input(str(path))[0].web()
         for chart in standard_atlas(w.n):

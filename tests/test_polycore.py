@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -589,6 +590,41 @@ def test_coprimality_certificate_falls_back():
         assert not _coprime_by_evaluation(f, g)
         assert multivar_gcd([f, g]) == 1
         assert multivar_gcd([g, f]) == 1
+
+
+def _poly_with_terms(rng, table, max_exp, terms):
+    """A polynomial with exactly ``terms`` terms, each exponent at most
+    ``max_exp``, and small nonzero integer coefficients."""
+    width = len(table.names)
+    out = {}
+    while len(out) < terms:
+        exps = tuple(rng.randint(0, max_exp) for _ in range(width))
+        out.setdefault(exps, rng.choice([-3, -2, -1, 1, 2, 3]))
+    return MultiPoly(table, out)
+
+
+PLANTED_TABLES = {3: T, 4: VarTable.plain(("a", "b", "c", "d")), 5: VarTable.chart(3, 0, 1)}
+
+
+@pytest.mark.parametrize("nvars", sorted(PLANTED_TABLES))
+@pytest.mark.parametrize("seed", range(6))
+def test_gcd_of_planted_common_factor_matches_sympy(nvars, seed):
+    # a * h and b * h share h, so no certificate applies and the gcd is
+    # the engine's elimination; each pair must finish well inside a second
+    sympy = pytest.importorskip("sympy")
+    table = PLANTED_TABLES[nvars]
+    syms = sympy.symbols(table.names)
+    rng = random.Random(1000 * nvars + seed)
+    a, b, h = (_poly_with_terms(rng, table, rng.randint(2, 3), rng.randint(5, 6))
+               for _ in range(3))
+    f, g = a * h, b * h
+    start = time.process_time()
+    got = multivar_gcd([f, g])
+    assert time.process_time() - start < 1.0
+    want = from_sympy(sympy, sympy.gcd(_sympy_poly(sympy, f, syms),
+                                       _sympy_poly(sympy, g, syms)), table)
+    assert scalar_equal(got, want), (f, g, got, want)
+    assert exact_divide(got, h) is not None
 
 
 def test_integer_primitive_normalization():
