@@ -22,8 +22,12 @@ from typing import Mapping
 from .idealcalc import IdealBasis, block_order, normal_form
 from .polycore import (
     MultiPoly,
+    Scalar,
     UsageError,
     VarTable,
+    _add_into,
+    _mul_terms,
+    _shift_terms,
     is_bihomogeneous,
     scalar_equal,
     substitute,
@@ -189,14 +193,47 @@ class ChartForm:
 
 
 def chart_form(S: BiHomogPde, chart: Chart) -> ChartForm:
-    """The restriction of S to the chart, built once per equation and chart."""
+    """The restriction of S to the chart, built once per equation and chart.
+
+    The restriction is written in closed form (``_restrict``); it equals
+    ``substitute(S.poly, chart.substitution(), target=chart.table)``.
+    """
     if chart.n != S.n:
         raise UsageError("chart and equation dimensions differ")
     form = S._forms.get(chart)
     if form is None:
-        F, _ = substitute(S.poly, chart.substitution(), target=chart.table)
-        form = S._forms[chart] = ChartForm(chart, F)
+        form = S._forms[chart] = ChartForm(chart, _restrict(S.poly, chart))
     return form
+
+
+def _restrict(H: MultiPoly, chart: Chart) -> MultiPoly:
+    """H restricted to the chart, term by term.
+
+    The chart sets X_i = 1, X_k = x_k, u_j = -1, u_a = p_a and
+    u_i = L = x_j - sum_a p_a x_a, so a term c X^alpha u^beta restricts to
+    (-1)^beta_j c x^alpha' p^beta' L^beta_i, where alpha' drops alpha_i and
+    beta' keeps the p-indices: one shifted, scaled copy of a power of L.
+    The powers of L are built once per call, and L is written straight
+    into the chart table (the chart's substitution map, built with
+    ``MultiPoly`` arithmetic, is not needed).  Coefficients come back
+    canonical, an int wherever a sum or product of Fractions is integral.
+    """
+    n, ps = chart.n, chart.p_indices
+    ui, uj = n + 1 + chart.i, n + 1 + chart.j
+    # the bi-homogeneous slots of the chart's x_k and p_a, in table order
+    carried = (*chart.x_indices, *(n + 1 + a for a in ps))
+    L = {tuple(int(k == chart.j) for k in carried): 1}
+    L.update({tuple(int(k in (a, n + 1 + a)) for k in carried): -1 for a in ps})
+    powers = [{(0,) * len(carried): 1}]
+    for _ in range(max(e[ui] for e in H.terms)):
+        powers.append(_mul_terms(powers[-1], L))
+    out: dict[tuple[int, ...], Scalar] = {}
+    for e, c in H.terms.items():
+        shift = tuple(map(e.__getitem__, carried))
+        _add_into(out, _shift_terms(powers[e[ui]], shift, -c if e[uj] & 1 else c))
+    if any(type(c) is Fraction for c in H.terms.values()):
+        out = {m: v.numerator if v.denominator == 1 else v for m, v in out.items()}
+    return MultiPoly._trusted(chart.table, out)
 
 
 def rehomogenize(form: ChartForm, bidegree: tuple[int, int] | None = None) -> BiHomogPde:

@@ -225,7 +225,7 @@ def _update(pk: _Packing, leads, degrees, sugars, live, pairs, k):
 
 
 def buchberger(gens, order: MonomialOrder = GREVLEX,
-               pair_cap: int = DEFAULT_PAIR_CAP) -> IdealBasis:
+               pair_cap: int = DEFAULT_PAIR_CAP, *, _elimination: bool = False) -> IdealBasis:
     """Reduced Groebner basis of the given generators.
 
     Each input and each S-polynomial is reduced by every element found so
@@ -257,6 +257,9 @@ def buchberger(gens, order: MonomialOrder = GREVLEX,
     ``pair_cap`` bounds the S-polynomial reductions actually performed in
     the run that completes (pairs a criterion discards do not count);
     exceeding it raises PairCapExceeded rather than truncating silently.
+
+    ``_elimination`` is ``eliminate``'s: the basis then holds only the
+    elements free of the block order's eliminated variables.
     """
     gens = [g for g in gens if g]
     if not gens:
@@ -266,13 +269,17 @@ def buchberger(gens, order: MonomialOrder = GREVLEX,
         raise UsageError("generators live over different variable tables")
     inputs = [_integer_terms(g.terms)[1] for g in gens]
     nvars = len(table.names)
+    drop = order.elim if _elimination else ()
     generators = _with_packing(order, nvars, _top(*inputs),
-                               lambda pk: _complete(pk, table, inputs, pair_cap))
+                               lambda pk: _complete(pk, table, inputs, pair_cap, drop))
     return IdealBasis(generators, order)
 
 
-def _complete(pk: _Packing, table: VarTable, inputs: list, pair_cap: int) -> tuple:
-    """``buchberger``'s completion and inter-reduction on one packing."""
+def _complete(pk: _Packing, table: VarTable, inputs: list, pair_cap: int,
+              drop: tuple[int, ...]) -> tuple:
+    """``buchberger``'s completion and inter-reduction on one packing; the
+    elements whose leading monomial involves a variable at an index in
+    ``drop`` are left out of the inter-reduction and the result."""
     guards = pk.guards
     # Every element found so far divides, in insertion order; superseded
     # ones still lie in the ideal, and with the live ones alone the
@@ -320,8 +327,12 @@ def _complete(pk: _Packing, table: VarTable, inputs: list, pair_cap: int) -> tup
         live, pairs = _update(pk, leads, degrees, sugars, live, pairs, len(basis) - 1)
 
     # inter-reduce tails of the minimal basis; sorted by increasing order
-    # key, which is decreasing entry
+    # key, which is decreasing entry.  Under a block order an element whose
+    # leading monomial is free of the eliminated block is free of it
+    # altogether, so an element left out never divides one of its terms.
     minimal = [basis[t] for t in live]
+    if drop:
+        minimal = [g for g in minimal if not any(map(pk.exps(g[0]).__getitem__, drop))]
     reduced = []
     for t, (lead, lc, tail) in enumerate(minimal):
         remainder, _ = _reduce(dict(((lead, lc), *tail)), minimal[:t] + minimal[t + 1:], guards)
@@ -342,13 +353,12 @@ def eliminate(gens, drop: "str | tuple[str, ...] | list[str]",
               pair_cap: int = DEFAULT_PAIR_CAP) -> list[MultiPoly]:
     """Generators of the elimination ideal with the dropped variables removed.
 
-    Computes a reduced basis under a block order eliminating ``drop`` and
-    returns the generators free of the dropped variables (a reduced basis
-    of the elimination ideal in the retained variables).
+    Completes a Groebner basis under a block order eliminating ``drop`` and
+    returns its reduced elements free of the dropped variables (a reduced
+    basis of the elimination ideal in the retained variables); the others
+    are neither inter-reduced nor unpacked.
     """
     gens = [g for g in gens if g]
     if not gens:
         return []
-    order = block_order(gens[0].vars, drop)
-    basis = buchberger(gens, order, pair_cap)
-    return [g for g in basis if not any(e[k] for e in g.terms for k in order.elim)]
+    return list(buchberger(gens, block_order(gens[0].vars, drop), pair_cap, _elimination=True))

@@ -860,49 +860,52 @@ def poly_adjugate(M: PolyMatrix) -> PolyMatrix:
 
 
 # Evaluation points of the coprimality certificate: variable k takes the
-# value _EVAL_PRIMES[k % 16] + shift, one shift after another until the
-# image keeps its degree.  Any point is sound; these only make a lucky
-# one likely.
+# value _EVAL_PRIMES[k % 16] + shift, one shift after another until a point
+# proves the variable absent from the gcd.  Any point is sound; these only
+# make a lucky one likely.
 _EVAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 _EVAL_SHIFTS = (0, 1, 3)
+# the prime modulus of the certificate's univariate images, 2^61 - 1
+_MODULUS = (1 << 61) - 1
 
 
 def _eval_point(width: int, shift: int) -> tuple[int, ...]:
     return tuple(_EVAL_PRIMES[k % len(_EVAL_PRIMES)] + shift for k in range(width))
 
 
-def _trim(coeffs: list[Fraction]) -> list[Fraction]:
+def _trim(coeffs: list[int]) -> list[int]:
     """Drop leading zero coefficients; the zero polynomial stays [0]."""
     while len(coeffs) > 1 and not coeffs[-1]:
         coeffs.pop()
     return coeffs
 
 
-def _image_in(f: MultiPoly, w: int, point: Sequence[int]) -> list[Fraction]:
-    """Coefficients of f in variable w, lowest first, the others set to point."""
-    coeffs = [Fraction(0)] * (max(e[w] for e in f.terms) + 1)
-    for e, c in f.terms.items():
-        scale = 1
+def _image_in(terms: Mapping[tuple[int, ...], int], w: int, point: Sequence[int]) -> list[int]:
+    """Coefficients mod ``_MODULUS`` of an integer term dict in variable w,
+    lowest first, with the other variables set to point."""
+    coeffs = [0] * (max(e[w] for e in terms) + 1)
+    for e, c in terms.items():
         for k, x in enumerate(e):
             if x and k != w:
-                scale *= point[k] ** x
-        coeffs[e[w]] += c * scale
-    return _trim(coeffs)
+                c *= point[k] ** x
+        coeffs[e[w]] += c
+    return _trim([c % _MODULUS for c in coeffs])
 
 
-def _univariate_gcd_degree(a: list[Fraction], b: list[Fraction]) -> int:
-    """Degree of gcd(a, b) in Q[w]: Euclid on trimmed dense lists, a nonzero."""
+def _univariate_gcd_degree(a: list[int], b: list[int]) -> int:
+    """Degree of gcd(a, b) in F_p[w], p = ``_MODULUS``: Euclid on trimmed
+    dense lists of residues, a nonzero."""
     while b[-1]:
         if len(b) == 1:
             return 0
         a = a[:]
-        lead = b[-1]
+        inverse = pow(b[-1], -1, _MODULUS)
         for top in range(len(a) - 1, len(b) - 2, -1):
-            q = a[top] / lead
+            q = a[top] * inverse % _MODULUS
             if q:
                 shift = top - len(b) + 1
                 for k, c in enumerate(b):
-                    a[shift + k] -= q * c
+                    a[shift + k] = (a[shift + k] - q * c) % _MODULUS
         a, b = b, _trim(a[:len(b) - 1])
     return len(a) - 1
 
@@ -910,32 +913,47 @@ def _univariate_gcd_degree(a: list[Fraction], b: list[Fraction]) -> int:
 def _coprime_by_evaluation(f: MultiPoly, g: MultiPoly) -> bool:
     """True only if gcd(f, g) is constant; False proves nothing.
 
-    Let h = gcd(f, g) have positive degree in a variable w, and set the
-    other variables to a point where f's leading coefficient in w does not
-    vanish.  That coefficient is a multiple of h's, so h's image keeps its
-    w-degree and divides both images in Q[w]; a constant univariate gcd of
-    the images therefore proves h free of w.  A common factor can only
-    involve variables that occur in both f and g, so checking each of them
-    proves h constant.  A point where the leading coefficient vanishes is
-    never used, and an image gcd of positive degree (a common factor, or
-    an unlucky point) returns False.
+    The images are taken of the integer-primitive operands, in F_p[w] for
+    one variable w at a time, p = 2^61 - 1 (Brown, "On Euclid's algorithm
+    and the computation of polynomial greatest common divisors", JACM 18,
+    1971).  Let h be a primitive integer factor of f and g of positive
+    degree in w, and set the other variables to a point where f's leading
+    coefficient in w does not vanish mod p.  By Gauss's lemma that
+    coefficient is h's times an integer polynomial's, so h's image keeps
+    its w-degree and divides both images; a constant image gcd therefore
+    proves h free of w.  A common factor can only involve variables that
+    occur in both f and g, so proving each of them absent proves the gcd
+    constant.  For each such variable the points are tried in turn until
+    one gives a constant image gcd; a point where the leading coefficient
+    vanishes mod p is skipped, and when no point proves the variable
+    absent (a common factor, or only unlucky points) the answer is False.
     """
+    _, f_int = _integer_terms(f.terms)
+    _, g_int = _integer_terms(g.terms)
     width = len(f.vars.names)
-    f_deg = [max(col) for col in zip(*f.terms)]
-    g_deg = [max(col) for col in zip(*g.terms)]
+    f_deg = [max(col) for col in zip(*f_int)]
+    g_deg = [max(col) for col in zip(*g_int)]
     points = [_eval_point(width, shift) for shift in _EVAL_SHIFTS]
     for w in range(width):
         if not (f_deg[w] and g_deg[w]):
             continue
         for point in points:
-            f_image = _image_in(f, w, point)
-            if len(f_image) == f_deg[w] + 1:
+            f_image = _image_in(f_int, w, point)
+            if (len(f_image) == f_deg[w] + 1
+                    and not _univariate_gcd_degree(f_image, _image_in(g_int, w, point))):
                 break
         else:
             return False
-        if _univariate_gcd_degree(f_image, _image_in(g, w, point)):
-            return False
     return True
+
+
+def _monomial_content(f: MultiPoly) -> tuple[tuple[int, ...], MultiPoly]:
+    """(m, f') with f = x^m f' and m the componentwise minimum exponent of
+    f's terms, of which there are at least two."""
+    m = tuple(map(min, *f.terms))
+    if not any(m):
+        return m, f
+    return m, MultiPoly._trusted(f.vars, {tuple(map(sub, e, m)): c for e, c in f.terms.items()})
 
 
 def _gcd_pair(f: MultiPoly, g: MultiPoly) -> MultiPoly:
@@ -949,6 +967,14 @@ def _gcd_pair(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         # the divisors of a monomial are monomials, and x^m divides a
         # polynomial iff m is at most each of its exponent vectors
         return MultiPoly._trusted(f.vars, {tuple(map(min, *f.terms, *g.terms)): 1})
+    # no variable divides f' or g', so gcd(x^a f', x^b g') = x^min(a, b) gcd(f', g')
+    a, f = _monomial_content(f)
+    b, g = _monomial_content(g)
+    if any(a) or any(b):
+        shift = tuple(map(min, a, b))
+        return MultiPoly._trusted(f.vars, _shift_terms(_gcd_pair(f, g).terms, shift, 1))
+    if scalar_equal(f, g):
+        return f
     if _coprime_by_evaluation(f, g):
         return MultiPoly.const(f.vars, 1)
     # lcm(f, g) generates (f) ∩ (g) = (t f, (1 - t) g) ∩ Q[x] (Cox, Little,
@@ -973,17 +999,21 @@ def multivar_gcd(fs: Iterable[MultiPoly]) -> MultiPoly:
     """A gcd of the inputs, integer-primitive with positive leading coefficient.
 
     The inputs are folded pairwise.  A pair with a constant operand has
-    gcd 1, a pair with a monomial operand has the monomial whose exponents
-    are the componentwise minimum over both supports (exact, since every
-    divisor of a monomial is one), and a pair with an exact coprimality
-    certificate has gcd 1.  The certificate evaluates both operands at
-    integer points that keep the first one's degree in each shared
-    variable and finds the univariate gcds constant; it only ever proves
-    coprimality.  Any other pair is one elimination in the Groebner
-    engine: lcm(f, g) is the generator of (t f, (1 - t) g) with a fresh t
-    eliminated, and the gcd is the exact quotient f g / lcm(f, g).  The
-    elimination runs under ``idealcalc.DEFAULT_PAIR_CAP`` and raises
-    ``PairCapExceeded`` past it.
+    gcd 1, and a pair with a monomial operand has the monomial whose
+    exponents are the componentwise minimum over both supports (exact,
+    since every divisor of a monomial is one).  Otherwise each operand's
+    monomial content, its componentwise minimum exponent, is split off:
+    gcd(x^a f', x^b g') = x^min(a, b) gcd(f', g').  Of the remaining pair,
+    two scalar multiples have the first as their gcd, and a pair with an
+    exact coprimality certificate has gcd 1.  The certificate takes the
+    integer-primitive operands' univariate images modulo the prime
+    2^61 - 1 at integer points that keep the first one's degree in each
+    shared variable, trying further points until one gives a constant
+    image gcd; it only ever proves coprimality.  Any other pair is one
+    elimination in the Groebner engine: lcm(f, g) is the generator of
+    (t f, (1 - t) g) with a fresh t eliminated, and the gcd is the exact
+    quotient f g / lcm(f, g).  The elimination runs under
+    ``idealcalc.DEFAULT_PAIR_CAP`` and raises ``PairCapExceeded`` past it.
     """
     fs = [f for f in fs if f]
     if not fs:

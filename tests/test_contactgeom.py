@@ -29,7 +29,7 @@ from webweave.contactgeom import (
     transport_form,
     transport_point,
 )
-from webweave.polycore import MultiPoly, UsageError, VarTable, scalar_equal
+from webweave.polycore import MultiPoly, UsageError, VarTable, scalar_equal, substitute
 
 BI2 = VarTable.bihomog(2)
 U0, U1, U2 = (MultiPoly.var(BI2, f"u{k}") for k in range(3))
@@ -97,6 +97,52 @@ def test_chart_form_p_degree_bounded():
             F = chart_form(S, c).poly
             assert F
             assert F.group_degree("p") <= S.bidegree[1]
+
+
+def _random_equation(rng, n):
+    """A seeded bi-homogeneous equation on P_n with rational coefficients:
+    bi-degree (delta, d), delta <= 2, d <= 4, one term a pure power u_k^d."""
+    delta, d = rng.randint(0, 2), rng.randint(1, 4)
+
+    def split(total):
+        e = [0] * (n + 1)
+        for _ in range(total):
+            e[rng.randrange(n + 1)] += 1
+        return e
+
+    pure = [0] * (n + 1)
+    pure[rng.randrange(n + 1)] = d
+    exps = [(split(delta), pure)] + [(split(delta), split(d)) for _ in range(rng.randint(1, 5))]
+    return MultiPoly(VarTable.bihomog(n), {
+        tuple(a + b): Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+        for a, b in exps})
+
+
+def test_chart_form_matches_substitution_oracle():
+    # the closed-form restriction against the generic substitution, on
+    # every chart at n = 2, 3, 4: the samples, the benchmark's inputs (the
+    # stretch web among them) and seeded equations of u-degree up to 4;
+    # its coefficients are canonical, an int wherever the value is integral
+    paths = sorted(SAMPLES.glob("*.json")) + sorted((PERFBENCH / "inputs").glob("*.json"))
+    pdes = [S for path in paths for S in parse_input(str(path))[0].pdes]
+    rng = random.Random(83)
+    for n in (2, 3, 4):
+        while sum(S.n == n for S in pdes) < 12:
+            try:
+                pdes.append(BiHomogPde(n, _random_equation(rng, n)))
+            except UsageError:  # divisible by the incidence form
+                pass
+    assert {S.n for S in pdes} == {2, 3, 4}
+    # with 1/2 u0^2 the cross term of (x2 - p1 x1)^2 / 2 is integral
+    pdes.append(BiHomogPde(2, Fraction(1, 2) * U0**2 + U1**2))
+    for S in pdes:
+        for chart in standard_atlas(S.n):
+            F = chart_form(S, chart).poly
+            want, _ = substitute(S.poly, chart.substitution(), target=chart.table)
+            assert F.vars is chart.table and F.terms == want.terms, (S.poly, chart)
+            assert all(type(c) is int or type(c) is Fraction and c.denominator != 1
+                       for c in F.terms.values()), (S.poly, chart)
+    assert type(chart_form(pdes[-1], C02).poly.terms[(1, 1, 1)]) is int
 
 
 def test_chart_substitution_is_a_fresh_copy():
@@ -544,18 +590,18 @@ def test_covariance_all_pairs_n3(monkeypatch):
     doc, _ = parse_input(str(SAMPLES / "mixed_n3.json"))
     S = doc.pdes[0]
     restricted, bidegrees = [], [0]
-    substitute, bihomogeneous = contactgeom.substitute, contactgeom.is_bihomogeneous
+    restrict, bihomogeneous = contactgeom._restrict, contactgeom.is_bihomogeneous
 
-    def counted_substitute(f, *args, **kwargs):
+    def counted_restrict(f, chart):
         if f is S.poly:
-            restricted.append(kwargs["target"])
-        return substitute(f, *args, **kwargs)
+            restricted.append(chart)
+        return restrict(f, chart)
 
     def counted_bihomogeneous(f):
         bidegrees[0] += 1
         return bihomogeneous(f)
 
-    monkeypatch.setattr(contactgeom, "substitute", counted_substitute)
+    monkeypatch.setattr(contactgeom, "_restrict", counted_restrict)
     monkeypatch.setattr(contactgeom, "is_bihomogeneous", counted_bihomogeneous)
     pairs = [(c1, c2) for c1, c2 in itertools.product(standard_atlas(3), repeat=2) if c1 != c2]
     assert len(pairs) == 132

@@ -560,3 +560,21 @@ def test_input_warnings_skip_gcd_eliminations(monkeypatch):
         for chart in standard_atlas(w.n):
             assert chart_web_data(w, chart).warnings == ()
     assert calls == [0]
+
+
+# ROADMAP's V2 web: clairaut_conic.json times X1, with the vertical line X1 = 0
+V2 = {"n": 2, "pdes": [[{"c": [-1, 1], "X": [0, 1, 0], "u": [2, 0, 0]},
+                        {"c": [1, 1], "X": [0, 1, 0], "u": [0, 2, 0]},
+                        {"c": [1, 1], "X": [0, 1, 0], "u": [0, 0, 2]}]]}
+
+
+def test_monomial_content_warnings_skip_gcd_eliminations(monkeypatch):
+    """The p-coefficients of V2's chart forms share a monomial factor on
+    the four charts that see the line X1 = 0; the gcd splits it off and
+    needs no elimination to find it."""
+    calls = _count_gcd_eliminations(monkeypatch)
+    w = parse_document(V2).web()
+    warnings = [x for chart in standard_atlas(2) for x in chart_web_data(w, chart).warnings]
+    assert warnings == [f"chart ({i},{j}): equation 1 has p-coefficients with a common "
+                        "non-constant factor" for i, j in ((0, 1), (0, 2), (2, 0), (2, 1))]
+    assert calls == [0]

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from oracles import from_sympy, matrix_product, resultant, to_sympy
 from test_cli import REPORT_DIGESTS, SAMPLES, _without_input
+from test_idealcalc import _count_gcd_eliminations
 from webweave import polycore
 from webweave.cli import COMMANDS, main, parse_input
 from webweave.cohomcalc import _XI_PRIME_FIRST
@@ -35,7 +36,7 @@ from webweave.polycore import (
     scalar_equal,
     substitute,
 )
-from webweave.polycore import _EVAL_SHIFTS, _coprime_by_evaluation, _eval_point
+from webweave.polycore import _EVAL_SHIFTS, _MODULUS, _coprime_by_evaluation, _eval_point
 
 T = VarTable.chart(2, 0, 2)
 X1, X2, P1 = (MultiPoly.var(T, n) for n in ("x1", "x2", "p1"))
@@ -576,20 +577,69 @@ def test_coprimality_certificate_matches_sympy(table, max_exp):
 
 def test_coprimality_certificate_falls_back():
     # points where f's leading coefficient vanishes are skipped, and a
-    # shared root at the point means "no proof", not "common factor"
+    # shared root at one point sends the certificate on to the next point;
+    # only when no point proves a variable absent does it give up, and
+    # "no proof" is not "common factor"
     first = _eval_point(len(T.names), _EVAL_SHIFTS[0])
     x2_values = [_eval_point(len(T.names), s)[1] for s in _EVAL_SHIFTS]
     unlucky_first = (X2 - first[1]) * X1 + 1
     assert _coprime_by_evaluation(unlucky_first, X1 + X2)
+    # the images in x1 share the root x1 = x2 at the first point only
+    assert _coprime_by_evaluation(X1 - X2, X1 + X2 - 2 * first[1])
     unlucky_all = MultiPoly.const(T, 1)
     for a in x2_values:
         unlucky_all = unlucky_all * (X2 - a)
+    shared_root_everywhere = (X1 - X2, X1 - X2 + unlucky_all)
     unlucky_all = unlucky_all * X1 + 1
-    shared_root = (X1 - X2, X1 + X2 - 2 * first[1])
-    for f, g in ((unlucky_all, X1 + X2), shared_root):
+    for f, g in ((unlucky_all, X1 + X2), shared_root_everywhere):
         assert not _coprime_by_evaluation(f, g)
         assert multivar_gcd([f, g]) == 1
         assert multivar_gcd([g, f]) == 1
+
+
+def test_coprimality_certificate_skips_points_where_the_modulus_divides():
+    # a leading coefficient of 2^61 - 1 vanishes modulo the certificate's
+    # prime at every point, so no point is used for x1; 2^61 does not
+    for lead, certified in ((_MODULUS, False), (_MODULUS + 1, True)):
+        f = lead * X1 * X2 + X2 + 1
+        assert _coprime_by_evaluation(f, X1 + X2) is certified
+        assert multivar_gcd([f, X1 + X2]) == 1
+
+
+@pytest.mark.parametrize("table", DIVIDE_TABLES, ids=["3vars", "5vars"])
+def test_gcd_exits_match_sympy(table, monkeypatch):
+    # planted monomial factors (split off before any other exit), planted
+    # scalar multiples (returned without an elimination) and planted
+    # multi-term factors, which the certificate must never call coprime
+    sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols(table.names)
+    rng = random.Random(71)
+    eliminations = _count_gcd_eliminations(monkeypatch)
+    width = len(table.names)
+    for k in range(45):
+        a, b = (_multi_term_poly(rng, table, max_terms=4, max_exp=2) for _ in range(2))
+        m1, m2 = (MultiPoly.monomial(table, [rng.randint(0, 2) for _ in range(width)],
+                                     Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)))
+                  for _ in range(2))
+        before = eliminations[0]
+        if k % 3 == 0:
+            f, g = m1 * a, m2 * b
+        elif k % 3 == 1:
+            f = m1 * a
+            g = f * Fraction(rng.choice([-5, -1, 2, 7]), rng.randint(1, 4))
+        else:
+            h = _multi_term_poly(rng, table, max_terms=3, max_exp=1)
+            f, g = m1 * h * a, m2 * h * b
+            assert not _coprime_by_evaluation(f, g), (f, g)
+            assert not _coprime_by_evaluation(h * a, h * b), (h, a, b)
+        want = from_sympy(sympy, sympy.gcd(_sympy_poly(sympy, f, syms),
+                                           _sympy_poly(sympy, g, syms)), table)
+        for pair in ([f, g], [g, f]):
+            got = multivar_gcd(pair)
+            assert scalar_equal(got, want), (pair, got, want)
+            assert all(type(c) is int for c in got.terms.values())
+        if k % 3 == 1:
+            assert eliminations[0] == before
 
 
 def _poly_with_terms(rng, table, max_exp, terms):
