@@ -5,7 +5,6 @@ that witness algebraicity and non-empty caustics."""
 
 from .cohomcalc import (
     CausticCertificate,
-    CohomClass,
     MultiDegreeData,
     bott_number,
     caustic_certificate,

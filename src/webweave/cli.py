@@ -240,8 +240,8 @@ def _algebraic(doc: InputDocument, charts) -> dict:
 
 def _chern(doc: InputDocument, charts) -> dict:
     n = doc.n
-    return {"chern_T": [str(cohomcalc.chern_T(n, j)) for j in range(n + 1)],
-            "top_class_vanishes": not cohomcalc.nf(cohomcalc.chern_T(n, n))}
+    return {"chern_T": [cohomcalc.class_text(cohomcalc.chern_T(n, j)) for j in range(n + 1)],
+            "top_class_vanishes": not cohomcalc.nf(cohomcalc.chern_T(n, n), n)}
 
 
 def _bott(doc: InputDocument, charts) -> dict:

@@ -1,6 +1,8 @@
 """Integer cohomology of the contact-element space and of P_n x P'_n.
 
-Classes are integer combinations of monomials xi^i * xi'^j.  For the
+A class is a ``MultiPoly`` with integer coefficients over one table
+(xi, xi'), and a ring is the ideal it is reduced by (``ring_ideal``):
+``nf`` is the engine's ``normal_form`` by that ideal.  For the
 contact-element space the ring is Z[xi,xi'] modulo xi^(n+1), xi'^(n+1)
 and sum_{i=0..n} (-1)^i xi^i xi'^(n-i); normal forms live on the basis
 {xi^i xi'^j : i <= n, j <= n-1}, so the top class xi^n xi'^(n-1) is
@@ -18,149 +20,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, prod
-from typing import Mapping
 
-from .idealcalc import _reduce
-from .polycore import (
-    MonomialOrder,
-    UsageError,
-    _add_into,
-    _mul_terms,
-    _signed_sum,
-    _top,
-    _with_packing,
-)
+from .idealcalc import IdealBasis, normal_form
+from .polycore import MonomialOrder, MultiPoly, UsageError, VarTable, _monomial_texts, _signed_sum
 
 INCIDENCE = "incidence"
 PRODUCT = "product"
 
-Monom = tuple[int, int]
-
-
-class CohomClass:
-    """Integer-coefficient class, stored as a map (i, j) -> coefficient."""
-
-    __slots__ = ("n", "ring", "coeffs")
-
-    def __init__(self, n: int, ring: str, coeffs: Mapping[Monom, int]):
-        if ring not in (INCIDENCE, PRODUCT):
-            raise UsageError(f"unknown cohomology ring {ring!r}")
-        if n < 1:
-            raise UsageError("dimension must be >= 1")
-        clean = {}
-        for (i, j), c in coeffs.items():
-            if i < 0 or j < 0:
-                raise UsageError("negative exponent in cohomology monomial")
-            if not isinstance(c, int):
-                raise UsageError("cohomology coefficients must be integers")
-            if c:
-                clean[(i, j)] = c
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, *a):  # pragma: no cover - guard only
-        raise AttributeError("CohomClass is immutable")
-
-    @classmethod
-    def _trusted(cls, n: int, ring: str, coeffs: dict[Monom, int]) -> "CohomClass":
-        """Wrap a coefficient dict that is already canonical, without checking it.
-
-        Only for the operators and ``nf``: their term-dict helpers keep
-        the checked ring and give (i, j) tuples of non-negative ints with
-        nonzero int coefficients, the form ``__init__`` checks.  The dict
-        is taken over, not copied.
-        """
-        self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "coeffs", coeffs)
-        return self
-
-    @classmethod
-    def zero(cls, n: int, ring: str = INCIDENCE) -> "CohomClass":
-        return cls(n, ring, {})
-
-    @classmethod
-    def unit(cls, n: int, ring: str = INCIDENCE) -> "CohomClass":
-        return cls(n, ring, {(0, 0): 1})
-
-    @classmethod
-    def xi(cls, n: int, ring: str = INCIDENCE) -> "CohomClass":
-        return cls(n, ring, {(1, 0): 1})
-
-    @classmethod
-    def xi_prime(cls, n: int, ring: str = INCIDENCE) -> "CohomClass":
-        return cls(n, ring, {(0, 1): 1})
-
-    def _coerce(self, other) -> "CohomClass":
-        if isinstance(other, CohomClass):
-            if (other.n, other.ring) != (self.n, self.ring):
-                raise UsageError("classes live in different rings")
-            return other
-        if isinstance(other, int):
-            return CohomClass(self.n, self.ring, {(0, 0): other})
-        raise UsageError("cannot combine cohomology class with this value")
-
-    def __add__(self, other) -> "CohomClass":
-        return CohomClass._trusted(self.n, self.ring,
-                                   _add_into(dict(self.coeffs), self._coerce(other).coeffs))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "CohomClass":
-        return CohomClass._trusted(self.n, self.ring, {m: -c for m, c in self.coeffs.items()})
-
-    def __sub__(self, other) -> "CohomClass":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "CohomClass":
-        return self._coerce(other) - self
-
-    def __mul__(self, other) -> "CohomClass":
-        return CohomClass._trusted(self.n, self.ring,
-                                   _mul_terms(self.coeffs, self._coerce(other).coeffs))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "CohomClass":
-        if not isinstance(k, int) or k < 0:
-            raise UsageError("powers must be non-negative integers")
-        out = CohomClass.unit(self.n, self.ring)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = self._coerce(other)
-        if not isinstance(other, CohomClass):
-            return NotImplemented
-        return (self.n, self.ring, self.coeffs) == (other.n, other.ring, other.coeffs)
-
-    __hash__ = None
-
-    def degrees(self) -> set[int]:
-        return {i + j for i, j in self.coeffs}
-
-    def to_string(self) -> str:
-        terms = []
-        for i, j in sorted(self.coeffs, key=lambda m: (m[0] + m[1], m[0])):
-            mono = "*".join(s for s in (
-                "xi" if i == 1 else f"xi^{i}" if i else "",
-                "xi'" if j == 1 else f"xi'^{j}" if j else "") if s)
-            terms.append((mono, self.coeffs[(i, j)]))
-        return _signed_sum(terms)
-
-    def __str__(self) -> str:
-        return self.to_string()
-
-    def __repr__(self) -> str:
-        return f"CohomClass({self.to_string()})"
-
+# every class, in either ring, is a polynomial over this table
+TABLE = VarTable.plain(("xi", "xi'"))
+XI = MultiPoly.var(TABLE, "xi")
+XI_PRIME = MultiPoly.var(TABLE, "xi'")
 
 # lex order comparing the xi'-exponent first, as a block order of two
 # one-variable blocks; the relation's leading monomial is then xi'^n,
@@ -169,58 +39,54 @@ _XI_PRIME_FIRST = MonomialOrder("block", (1,), (0,))
 
 
 @lru_cache(maxsize=None)
-def _incidence_divisors(pk, n: int) -> list:
-    """The relation and xi^(n+1) as elements of one packing."""
-    return [pk.element(relation_class(n).coeffs), pk.element({(n + 1, 0): 1})]
+def ring_ideal(n: int, ring: str = INCIDENCE) -> IdealBasis:
+    """The ideal whose quotient is the ring, as the basis ``nf`` divides by.
 
-
-def nf(c: CohomClass) -> CohomClass:
-    """Normal form in the quotient ring.
-
-    Incidence ring: the remainder of the engine's division
-    (``idealcalc._reduce``, on packed monomials, restarted wider if the
-    xi-exponent outgrows its field) by the relation and xi^(n+1).  In
-    the lex order with xi' compared first their leading monomials xi'^n
-    and xi^(n+1) are coprime, so the pair is a Groebner basis and the
-    remainder lies on the basis {xi^i xi'^j : i <= n, j <= n-1}; both
-    leading coefficients are 1, so the division never rescales and the
-    remainder is integral.  Product ring: drop exponents above n.
+    Incidence ring: the relation and xi^(n+1).  In the lex order with xi'
+    compared first their leading monomials xi'^n and xi^(n+1) are
+    coprime, so the pair is a Groebner basis and remainders lie on the
+    basis {xi^i xi'^j : i <= n, j <= n-1}; both leading coefficients are
+    1, so integral classes keep integral normal forms.  Product ring:
+    xi^(n+1) and xi'^(n+1), whose remainder drops exponents above n.
     """
-    n = c.n
-    if c.ring == PRODUCT:
-        return CohomClass._trusted(n, PRODUCT, {(i, j): v for (i, j), v in c.coeffs.items()
-                                                if i <= n and j <= n})
-
-    def run(pk):
-        remainder, _ = _reduce(pk.pack(c.coeffs), _incidence_divisors(pk, n), pk.guards)
-        return pk.unpack(remainder)
-
-    remainder = _with_packing(_XI_PRIME_FIRST, 2, max(n + 1, _top(c.coeffs)), run)
-    return CohomClass._trusted(n, INCIDENCE, remainder)
+    if ring not in (INCIDENCE, PRODUCT):
+        raise UsageError(f"unknown cohomology ring {ring!r}")
+    if n < 1:
+        raise UsageError("dimension must be >= 1")
+    xi_top = XI ** (n + 1)
+    gens = (relation_class(n), xi_top) if ring == INCIDENCE else (xi_top, XI_PRIME ** (n + 1))
+    return IdealBasis(gens, _XI_PRIME_FIRST)
 
 
-def integrate(c: CohomClass) -> int:
+def nf(c: MultiPoly, n: int, ring: str = INCIDENCE) -> MultiPoly:
+    """Normal form of a class over ``TABLE`` in the ring of P_n."""
+    return normal_form(c, ring_ideal(n, ring))
+
+
+def integrate(c: MultiPoly, n: int, ring: str = INCIDENCE) -> int:
     """Pairing with the fundamental class: top-degree coefficient after nf.
 
     Incidence ring: coefficient of xi^n xi'^(n-1); product ring:
     coefficient of xi^n xi'^n.  Non-top-degree input is rejected.
     """
-    n = c.n
-    top = 2 * n - 1 if c.ring == INCIDENCE else 2 * n
-    if c and c.degrees() != {top}:
+    top = 2 * n - 1 if ring == INCIDENCE else 2 * n
+    if any(sum(e) != top for e in c.terms):
         raise UsageError("integrate expects a homogeneous class of top degree")
-    reduced = nf(c)
-    key = (n, n - 1) if c.ring == INCIDENCE else (n, n)
-    return reduced.coeffs.get(key, 0)
+    return nf(c, n, ring).terms.get((n, top - n), 0)
 
 
-def relation_class(n: int) -> CohomClass:
+def class_text(c: MultiPoly) -> str:
+    """A class as text, lowest degree first and, within a degree, lowest
+    xi-exponent first: the reverse of ``MultiPoly.to_string``."""
+    return _signed_sum(reversed(_monomial_texts(c)))
+
+
+def relation_class(n: int) -> MultiPoly:
     """The alternating relation sum_{i=0..n} (-1)^i xi^i xi'^(n-i)."""
-    return CohomClass(n, INCIDENCE,
-                      {(i, n - i): (1 if i % 2 == 0 else -1) for i in range(n + 1)})
+    return MultiPoly(TABLE, {(i, n - i): (-1) ** i for i in range(n + 1)})
 
 
-def chern_T(n: int, j: int) -> CohomClass:
+def chern_T(n: int, j: int) -> MultiPoly:
     """Chern class of the tautological rank-(n-1) subbundle, in normal form.
 
     Evaluates the defining recursion c_j = C(n+1, j) xi^j - (xi + xi') c_{j-1}
@@ -228,12 +94,11 @@ def chern_T(n: int, j: int) -> CohomClass:
     """
     if not (0 <= j <= n):
         raise UsageError("index out of range (0 <= j <= n)")
-    xi = CohomClass.xi(n)
-    xs = xi + CohomClass.xi_prime(n)
-    c = CohomClass.unit(n)
+    xs = XI + XI_PRIME
+    c = MultiPoly.const(TABLE, 1)
     for t in range(1, j + 1):
-        c = comb(n + 1, t) * xi**t - xs * c
-    return nf(c)
+        c = comb(n + 1, t) * XI**t - xs * c
+    return nf(c, n)
 
 
 @dataclass(frozen=True)
@@ -291,22 +156,16 @@ def script_N(m: MultiDegreeData) -> Fraction:
     return db * db - 2 * db * c * (1 + m.sigma1) + c * c * (m.sigma1 + m.sigma2)
 
 
-def normal_bundle_c1(m: MultiDegreeData) -> CohomClass:
-    """First Chern class of the web foliation's normal bundle (restricted)."""
-    n = m.n
-    c = (n + 1) * CohomClass.xi_prime(n)
-    for delta, d in m.pairs:
-        c = c - (delta * CohomClass.xi(n) + d * CohomClass.xi_prime(n))
-    return c
+def normal_bundle_c1(m: MultiDegreeData) -> MultiPoly:
+    """First Chern class of the web foliation's normal bundle (restricted):
+    (n+1) xi' minus the sum of (delta_a xi + d_a xi')."""
+    return (m.n + 1 - m.d_bar) * XI_PRIME - m.delta_bar * XI
 
 
-def fundamental_factor(m: MultiDegreeData, ring: str = INCIDENCE) -> CohomClass:
+def fundamental_factor(m: MultiDegreeData) -> MultiPoly:
     """Product of (delta_a xi + d_a xi'), the class dual to the web."""
-    n = m.n
-    out = CohomClass.unit(n, ring)
-    for delta, d in m.pairs:
-        out = out * (delta * CohomClass.xi(n, ring) + d * CohomClass.xi_prime(n, ring))
-    return out
+    return prod((delta * XI + d * XI_PRIME for delta, d in m.pairs),
+                start=MultiPoly.const(TABLE, 1))
 
 
 def bott_number(m: MultiDegreeData) -> int:
@@ -318,8 +177,7 @@ def bott_number(m: MultiDegreeData) -> int:
     if m.n < 2:
         raise UsageError("defined for n >= 2")
     c1 = normal_bundle_c1(m)
-    cls = c1 * c1 * fundamental_factor(m) * CohomClass.xi(m.n) ** (m.n - 2)
-    return integrate(cls)
+    return integrate(c1 * c1 * fundamental_factor(m) * XI ** (m.n - 2), m.n)
 
 
 @dataclass(frozen=True)
@@ -356,7 +214,6 @@ def caustic_certificate(m: MultiDegreeData) -> CausticCertificate:
     if m.n < 2:
         raise UsageError("defined for n >= 2")
     n = m.n
-    xs = CohomClass.xi(n, PRODUCT) + CohomClass.xi_prime(n, PRODUCT)
-    cls = nf(xs**3 * fundamental_factor(m, PRODUCT))
-    coeffs = tuple(cls.coeffs.get((i, n + 2 - i), 0) for i in range(2, n + 1))
+    cls = nf((XI + XI_PRIME) ** 3 * fundamental_factor(m), n, PRODUCT)
+    coeffs = tuple(cls.terms.get((i, n + 2 - i), 0) for i in range(2, n + 1))
     return CausticCertificate(coeffs)

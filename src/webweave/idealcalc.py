@@ -35,8 +35,10 @@ from itertools import chain, repeat
 from operator import and_, sub
 
 # the monomial orders live in polycore beside the packing that flattens
-# their keys; GREVLEX, LEX and MonomialOrder stay importable from here
+# their keys, and the pair cap beside the gcd that also runs under it;
+# GREVLEX, LEX, MonomialOrder and DEFAULT_PAIR_CAP stay importable from here
 from .polycore import (
+    DEFAULT_PAIR_CAP,
     GREVLEX,
     LEX,
     MonomialOrder,
@@ -50,8 +52,6 @@ from .polycore import (
     _top,
     _with_packing,
 )
-
-DEFAULT_PAIR_CAP = 10_000
 
 
 class PairCapExceeded(RuntimeError):
@@ -111,7 +111,7 @@ def _reduce(work: dict, divisors, guards: int) -> tuple[list, int]:
     in decreasing order, and the positive integer with scale * f minus
     the remainder in the ideal of the divisors; divided by ``scale``, the
     remainder is the exact one of division over Q with the same selection
-    rule.  ``cohomcalc.nf`` divides (xi, xi') classes with it.
+    rule.
     """
     heap = list(work)
     heapq.heapify(heap)

@@ -30,6 +30,11 @@ class UsageError(ValueError):
     """An operation was called outside its documented contract."""
 
 
+# Default bound on the S-polynomial reductions of one Groebner completion
+# (``idealcalc.buchberger``), which ``multivar_gcd`` runs too
+DEFAULT_PAIR_CAP = 10_000
+
+
 def _grevlex_key(exps: tuple[int, ...]) -> tuple[int, ...]:
     # graded reverse lexicographic: higher degree wins, ties broken by the
     # smaller exponent in the latest differing variable; flat and linear
@@ -565,17 +570,22 @@ class MultiPoly:
     # -- printing ------------------------------------------------------
 
     def to_string(self) -> str:
-        names = self.vars.names
-        return _signed_sum(
-            ("*".join(names[k] if e == 1 else f"{names[k]}^{e}" for k, e in enumerate(exps) if e),
-             self.terms[exps])
-            for exps in sorted(self.terms, key=_grevlex_key, reverse=True))
+        return _signed_sum(_monomial_texts(self))
 
     def __str__(self) -> str:
         return self.to_string()
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.to_string()})"
+
+
+def _monomial_texts(f: MultiPoly) -> list[tuple[str, Scalar]]:
+    """(monomial text, coefficient) pairs of f's terms, in decreasing
+    grevlex order, for ``_signed_sum``."""
+    names = f.vars.names
+    return [("*".join(names[k] if e == 1 else f"{names[k]}^{e}" for k, e in enumerate(exps) if e),
+             f.terms[exps])
+            for exps in sorted(f.terms, key=_grevlex_key, reverse=True)]
 
 
 # the slot setters, bypassing the immutability guard at a fraction of the
@@ -956,7 +966,7 @@ def _monomial_content(f: MultiPoly) -> tuple[tuple[int, ...], MultiPoly]:
     return m, MultiPoly._trusted(f.vars, {tuple(map(sub, e, m)): c for e, c in f.terms.items()})
 
 
-def _gcd_pair(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+def _gcd_pair(f: MultiPoly, g: MultiPoly, pair_cap: int) -> MultiPoly:
     if not f:
         return g
     if not g:
@@ -972,7 +982,8 @@ def _gcd_pair(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     b, g = _monomial_content(g)
     if any(a) or any(b):
         shift = tuple(map(min, a, b))
-        return MultiPoly._trusted(f.vars, _shift_terms(_gcd_pair(f, g).terms, shift, 1))
+        inner = _gcd_pair(f, g, pair_cap)
+        return MultiPoly._trusted(f.vars, _shift_terms(inner.terms, shift, 1))
     if scalar_equal(f, g):
         return f
     if _coprime_by_evaluation(f, g):
@@ -990,12 +1001,12 @@ def _gcd_pair(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     g_minus_tg = {e + (0,): c for e, c in g.terms.items()}
     g_minus_tg.update({e + (1,): -c for e, c in g.terms.items()})
     (lcm,) = eliminate([MultiPoly._trusted(table, tf), MultiPoly._trusted(table, g_minus_tg)],
-                       (t,))
+                       (t,), pair_cap)
     lcm = MultiPoly._trusted(f.vars, {e[:-1]: c for e, c in lcm.terms.items()})
     return exact_divide(f * g, lcm)
 
 
-def multivar_gcd(fs: Iterable[MultiPoly]) -> MultiPoly:
+def multivar_gcd(fs: Iterable[MultiPoly], pair_cap: int = DEFAULT_PAIR_CAP) -> MultiPoly:
     """A gcd of the inputs, integer-primitive with positive leading coefficient.
 
     The inputs are folded pairwise.  A pair with a constant operand has
@@ -1012,15 +1023,15 @@ def multivar_gcd(fs: Iterable[MultiPoly]) -> MultiPoly:
     image gcd; it only ever proves coprimality.  Any other pair is one
     elimination in the Groebner engine: lcm(f, g) is the generator of
     (t f, (1 - t) g) with a fresh t eliminated, and the gcd is the exact
-    quotient f g / lcm(f, g).  The elimination runs under
-    ``idealcalc.DEFAULT_PAIR_CAP`` and raises ``PairCapExceeded`` past it.
+    quotient f g / lcm(f, g).  The elimination runs under ``pair_cap``
+    and raises ``PairCapExceeded`` past it.
     """
     fs = [f for f in fs if f]
     if not fs:
         raise UsageError("gcd of all-zero inputs")
     g = fs[0]
     for f in fs[1:]:
-        g = _gcd_pair(g, f)
+        g = _gcd_pair(g, f, pair_cap)
         if g.is_constant():
             break
     _, prim = integer_primitive(g)

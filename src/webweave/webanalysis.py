@@ -173,11 +173,11 @@ def _input_warnings(data: ChartWebData) -> list[str]:
     chart = data.chart
     for k, F in enumerate(data.forms):
         # in characteristic 0, a non-constant gcd(F, every partial) is a repeated factor
-        if not multivar_gcd([F, *data.jacobian.row(k)]).is_constant():
+        if not multivar_gcd([F, *data.jacobian.row(k)], data._pair_cap).is_constant():
             out.append(f"chart ({chart.i},{chart.j}): equation {k + 1} may be "
                        "non-reduced (shares a factor with a partial derivative)")
         coeffs = _p_coefficients(chart, F)
-        if len(coeffs) > 1 and not multivar_gcd(coeffs).is_constant():
+        if len(coeffs) > 1 and not multivar_gcd(coeffs, data._pair_cap).is_constant():
             out.append(f"chart ({chart.i},{chart.j}): equation {k + 1} has "
                        "p-coefficients with a common non-constant factor")
     return out

@@ -1,6 +1,6 @@
 import pytest
 
-from webweave import cohomcalc, idealcalc, polycore
+from webweave import idealcalc, polycore
 from webweave.contactgeom import BiHomogPde, Chart, ChartForm, rehomogenize
 from webweave.polycore import MultiPoly, VarTable
 from webweave.webanalysis import CiWeb
@@ -24,7 +24,7 @@ def narrow_packings(monkeypatch):
         return with_packing(order, nvars, top, attempt)
 
     monkeypatch.setattr(polycore, "_MIN_WIDTH", 1)
-    for module in (polycore, idealcalc, cohomcalc):
+    for module in (polycore, idealcalc):
         monkeypatch.setattr(module, "_with_packing", counting)
     return counts
 

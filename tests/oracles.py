@@ -3,7 +3,7 @@
 from fractions import Fraction
 from math import comb
 
-from webweave.cohomcalc import INCIDENCE, CohomClass
+from webweave.cohomcalc import TABLE
 from webweave.contactgeom import RatFunc
 from webweave.idealcalc import GREVLEX
 from webweave.polycore import (
@@ -270,7 +270,7 @@ def chern_closed_form(n, j):
         for k in range(i + 1):
             m = (j - i + k, i - k)
             coeffs[m] = coeffs.get(m, 0) + (-1) ** i * comb(n + 1, j - i) * comb(i, k)
-    return CohomClass(n, INCIDENCE, coeffs)
+    return MultiPoly(TABLE, coeffs)
 
 
 def chern_recursion(n, j):
@@ -283,4 +283,4 @@ def chern_recursion(n, j):
             for m in ((a + 1, b), (a, b + 1)):
                 nxt[m] = nxt.get(m, 0) - v
         c = nxt
-    return CohomClass(n, INCIDENCE, c)
+    return MultiPoly(TABLE, c)

@@ -423,6 +423,24 @@ def test_pair_cap_env_triggers_engine_exit(command, sample, capsys, monkeypatch)
     assert (code == EXIT_ENGINE) == ("pair reductions" in err)
 
 
+def test_pair_cap_env_reaches_warning_gcds(tmp_path, capsys, monkeypatch):
+    # (u0^3 + u1^3 + u2^3)(u0 + u1 + 2 u2)^2: on every chart the warnings
+    # take gcds that only the engine's elimination settles, and those run
+    # under the session's cap too
+    table = VarTable.bihomog(2)
+    u0, u1, u2 = (MultiPoly.var(table, f"u{k}") for k in range(3))
+    H = (u0**3 + u1**3 + u2**3) * (u0 + u1 + 2 * u2) ** 2
+    path = write(tmp_path, {"n": 2, "pdes": [[
+        {"c": [c, 1], "X": [0, 0, 0], "u": list(e[3:])} for e, c in H.terms.items()]]})
+    code, out, _ = run_cli(["dicritical", path], capsys)
+    assert code == EXIT_OK and len(json.loads(out)["warnings"]) == 6
+    monkeypatch.setenv("WEAVE_PAIR_CAP", "0")
+    for command in ("dicritical", "hyperdicritical"):
+        code, out, err = run_cli([command, path], capsys)
+        assert code == EXIT_ENGINE and not out
+        assert "pair reductions" in err
+
+
 @pytest.mark.parametrize("value", ["abc", "-5"])
 def test_pair_cap_env_rejects_invalid(tmp_path, capsys, monkeypatch, value):
     path = write(tmp_path, CONIC)

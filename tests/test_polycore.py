@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from oracles import from_sympy, matrix_product, resultant, to_sympy
 from test_cli import REPORT_DIGESTS, SAMPLES, _without_input
+from test_cohomcalc import _cohomcalc_sweep
 from test_idealcalc import _count_gcd_eliminations
 from webweave import polycore
 from webweave.cli import COMMANDS, main, parse_input
@@ -850,8 +851,9 @@ def _canonical_violation(vars, terms):
 def test_trusted_construction_keeps_canonical_form(monkeypatch, capsys):
     # every result the kernel wraps without checking goes through the full
     # check here, across all CLI commands on the samples, every chart
-    # transition at n = 2, 3 and a covariance sweep; the reports must stay
-    # byte-identical to the recorded ones
+    # transition at n = 2, 3, a covariance sweep and a sweep of the
+    # cohomology classes; the reports must stay byte-identical to the
+    # recorded ones and the sweeps unchanged
     trusted = MultiPoly.__dict__["_trusted"].__func__
     violations, built = [], [0]
 
@@ -868,6 +870,7 @@ def test_trusted_construction_keeps_canonical_form(monkeypatch, capsys):
 
     reference = {n: [snapshot(transition(a, b)) for a in standard_atlas(n)
                      for b in standard_atlas(n) if a != b] for n in (2, 3)}
+    cohomology = _cohomcalc_sweep()
     monkeypatch.setattr(MultiPoly, "_trusted", classmethod(checked))
 
     recorded = json.loads(REPORT_DIGESTS.read_text(encoding="utf-8"))
@@ -884,5 +887,6 @@ def test_trusted_construction_keeps_canonical_form(monkeypatch, capsys):
     S = parse_input(str(SAMPLES / "mixed_n3.json"))[0].pdes[0]
     atlas = standard_atlas(3)
     assert all(covariance_check(S, a, b) for a in atlas for b in atlas)
+    assert _cohomcalc_sweep() == cohomology
     assert not violations, violations[:5]
     assert built[0] > 10_000
